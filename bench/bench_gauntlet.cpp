@@ -15,7 +15,6 @@
 ///   glibc         the system malloc, plain — the Fig. 5 reference
 ///   shim          libdiehard.so LD_PRELOADed, thread cache off
 ///   shim-tcache   + per-thread caches (DIEHARD_TCACHE=32)
-///   shim-adapt    + adaptive per-class K (DIEHARD_TCACHE_ADAPT=1)
 ///   shim-sweeper  + the background epoch sweeper (DIEHARD_SWEEPER=1)
 ///   lea           the in-tree Lea baseline behind one lock
 ///   diehard       the in-tree DieHardHeap (direct, unsharded) behind
@@ -85,10 +84,6 @@ const Backend Backends[] = {
     {"glibc", "malloc", false, {}},
     {"shim", "malloc", true, {"DIEHARD_TCACHE=0"}},
     {"shim-tcache", "malloc", true, {"DIEHARD_TCACHE=32"}},
-    {"shim-adapt",
-     "malloc",
-     true,
-     {"DIEHARD_TCACHE=32", "DIEHARD_TCACHE_ADAPT=1"}},
     {"shim-sweeper",
      "malloc",
      true,

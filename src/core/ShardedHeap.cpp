@@ -121,20 +121,6 @@ ShardedHeap::ShardedHeap(const ShardedHeapOptions &Options) : Opts(Options) {
     if (D > ThreadCache::MaxDeferred)
       D = ThreadCache::MaxDeferred;
     CacheDeferredCap = static_cast<uint32_t>(D);
-    // Adaptive sizing moves each cache's per-class K within
-    // [K/4, 8K] (clamped to [2, MaxSlotsPerClass]); buffers are sized for
-    // the cap so growth never needs a remap. Fixed mode pins cap == K.
-    CacheAdaptive = Opts.ThreadCacheAdaptive;
-    if (CacheAdaptive) {
-      size_t Cap = 8 * K;
-      if (Cap > ThreadCache::MaxSlotsPerClass)
-        Cap = ThreadCache::MaxSlotsPerClass;
-      CacheCapPerClass = static_cast<uint32_t>(Cap);
-      CacheMinK = static_cast<uint32_t>(K / 4 < 2 ? 2 : K / 4);
-    } else {
-      CacheCapPerClass = CacheSlotsPerClass;
-      CacheMinK = CacheSlotsPerClass;
-    }
   }
 
   if (Opts.SweepIntervalMs == 0)
@@ -331,8 +317,7 @@ ThreadCache *ShardedHeap::cacheForThread() {
   ThreadCache *TC = threadCacheLookup(Id);
   if (TC == nullptr)
     TC = threadCacheInstall(*this, Caches, Id, homeShard(),
-                            CacheCapPerClass, CacheSlotsPerClass,
-                            CacheDeferredCap);
+                            CacheSlotsPerClass, CacheDeferredCap);
   // Activity stamp for the sweeper's aging scan: every cache operation
   // passes through here, so a thread is "quiet" exactly when it has made
   // no allocator call for two full sweep intervals. Two relaxed accesses,
@@ -352,15 +337,8 @@ void *ShardedHeap::refillAndPop(ThreadCache &TC, int Class) {
   // Pending sidecar entries override the skip: the drain below may
   // recover capacity from in-flight cross-shard frees.
   const RandomizedPartition &Part = S.Heap.partition(Class);
-  if (Part.live() >= Part.threshold() && !Part.hasPendingRemoteFrees()) {
-    // Saturation is still demand: mark the class active so the adaptive
-    // idle sweep does not halve a hot-but-capacity-starved class's K to
-    // the floor (growth itself waits for a successful refill — claims
-    // clip at the threshold, so growing now would be pointless).
-    if (CacheAdaptive)
-      TC.noteRefill(Class);
+  if (Part.live() >= Part.threshold() && !Part.hasPendingRemoteFrees())
     return nullptr;
-  }
   void *Batch[ThreadCache::MaxSlotsPerClass];
   size_t N;
   {
@@ -369,62 +347,19 @@ void *ShardedHeap::refillAndPop(ThreadCache &TC, int Class) {
     // anyway, and draining first lets the claim below reuse slots that
     // cross-shard frees just returned.
     S.Heap.drainRemoteFrees(Class);
-    N = S.Heap.claimCachedSlots(Class, Batch, TC.targetK(Class));
+    N = S.Heap.claimCachedSlots(Class, Batch, TC.slotsPerClass());
   }
-  if (N == 0) {
-    if (CacheAdaptive)
-      TC.noteRefill(Class); // As above: saturated, not idle.
+  if (N == 0)
     return nullptr; // Home partition at its 1/M bound.
-  }
   CacheRefillCount.fetch_add(1, std::memory_order_relaxed);
   // Refill boundaries double as fold points, keeping the per-pop fast path
   // free of shared atomics while the aggregates stay at most K behind.
   FoldedPops.fetch_add(TC.takePops(), std::memory_order_relaxed);
   TC.put(Class, Batch, N);
-  void *Ptr = TC.pop(Class);
-  if (CacheAdaptive)
-    adaptAfterRefill(TC, Class);
-  return Ptr;
+  return TC.pop(Class);
 }
 
-void ShardedHeap::adaptAfterRefill(ThreadCache &TC, int Class) {
-  // A second refill of the same class within one sweep window marks it
-  // hot: double its batch size toward the cap, halving the class's lock
-  // round-trips per allocation from here on. Growth is geometric, so a
-  // class at the base K reaches the cap within a few hot windows.
-  if (TC.noteRefill(Class) >= CacheGrowRefills) {
-    uint32_t K = TC.targetK(Class) * 2;
-    TC.setTargetK(Class, K < CacheCapPerClass ? K : CacheCapPerClass);
-  }
-  maybeSweepCache(TC);
-}
-
-void ShardedHeap::maybeSweepCache(ThreadCache &TC) {
-  if (!TC.tickSlowPath(CacheSweepPeriod))
-    return;
-  // The closing window's verdict, class by class: classes with no refill
-  // shrink (halve toward the floor) and hand any cached surplus above the
-  // new K back to their home partition, releasing idle claims against the
-  // 1/M bound. reclaimSlots undoes the claim exactly — no Frees counted,
-  // placement statistics untouched.
-  Shard &S = *Shards[TC.homeShard()];
-  void *Surplus[ThreadCache::MaxSlotsPerClass];
-  for (int C = 0; C < DieHardHeap::NumPartitions; ++C) {
-    if (TC.takeRefillMark(C) != 0)
-      continue; // Active this window; growth already handled it.
-    uint32_t K = TC.targetK(C) / 2;
-    uint32_t NewK = K > CacheMinK ? K : CacheMinK;
-    TC.setTargetK(C, NewK);
-    size_t N = TC.takeSurplus(C, Surplus, NewK);
-    if (N != 0) {
-      std::lock_guard<std::mutex> Guard(partitionLock(S, C));
-      S.Heap.drainRemoteFrees(C);
-      S.Heap.reclaimCachedSlots(C, Surplus, N);
-    }
-  }
-}
-
-void ShardedHeap::flushDeferred(ThreadCache &TC, bool Adapt) {
+void ShardedHeap::flushDeferred(ThreadCache &TC) {
   DeferredFree Buf[ThreadCache::MaxDeferred];
   size_t N = TC.drainDeferred(Buf);
   if (N == 0)
@@ -460,15 +395,10 @@ void ShardedHeap::flushDeferred(ThreadCache &TC, bool Adapt) {
     Remaining = Kept;
   }
   CacheFlushCount.fetch_add(1, std::memory_order_relaxed);
-  // Adaptive bookkeeping touches the owner's private sizing words, so a
-  // sweeper-driven flush (Adapt == false) must skip it: the seized owner
-  // is quiescent but may resume the instant the sweeper releases it.
-  if (CacheAdaptive && Adapt)
-    maybeSweepCache(TC);
 }
 
-void ShardedHeap::flushCacheFully(ThreadCache &TC, bool Adapt) {
-  flushDeferred(TC, Adapt);
+void ShardedHeap::flushCacheFully(ThreadCache &TC) {
+  flushDeferred(TC);
   Shard &S = *Shards[TC.homeShard()];
   void *Slots[ThreadCache::MaxSlotsPerClass];
   for (int C = 0; C < DieHardHeap::NumPartitions; ++C) {
@@ -527,14 +457,6 @@ uint64_t ShardedHeap::remoteFreeRejects() const {
     for (int C = 0; C < DieHardHeap::NumPartitions; ++C)
       Total += S->Heap.partition(C).remoteFreeRejects();
   return Total;
-}
-
-size_t ShardedHeap::threadCacheTargetK(int Class) const {
-  if (CacheSlotsPerClass == 0 || Class < 0 ||
-      Class >= DieHardHeap::NumPartitions)
-    return 0;
-  ThreadCache *TC = threadCacheLookup(Id);
-  return TC != nullptr ? TC->targetK(Class) : 0;
 }
 
 void *ShardedHeap::allocateLarge(size_t Size) {
@@ -804,22 +726,6 @@ uint64_t ShardedHeap::spansReleased() const {
   return Total;
 }
 
-uint64_t ShardedHeap::pagesMeshed() const {
-  uint64_t Total = 0;
-  for (const std::unique_ptr<Shard> &S : Shards)
-    for (int C = 0; C < DieHardHeap::NumPartitions; ++C)
-      Total += S->Heap.partition(C).stats().PagesMeshed;
-  return Total;
-}
-
-uint64_t ShardedHeap::meshedBytes() const {
-  uint64_t Total = 0;
-  for (const std::unique_ptr<Shard> &S : Shards)
-    for (int C = 0; C < DieHardHeap::NumPartitions; ++C)
-      Total += S->Heap.partition(C).stats().MeshedBytes;
-  return Total;
-}
-
 size_t ShardedHeap::sweepOnce() {
   // Callers hold the pass gate (Sweep.Lock); the pass itself takes at most
   // one other lock at a time and never blocks while holding one.
@@ -847,8 +753,7 @@ size_t ShardedHeap::sweepOnce() {
       // filled partitions never pass the pre-check (their data must stay
       // resident for the fill invariant).
       if (P.hasPendingRemoteFrees() ||
-          P.pageScanPending(PartialReturnFillGate) ||
-          P.meshScanPending(PartialReturnFillGate)) {
+          P.pageScanPending(PartialReturnFillGate)) {
         std::lock_guard<std::mutex> Guard(partitionLock(S, C));
         Drained += S.Heap.maintain(C).Drained;
       }

@@ -76,18 +76,6 @@
 /// keep the locked path (the home locks are the cheap, mostly-uncontended
 /// ones).
 ///
-/// Adaptive cache sizing (ThreadCacheAdaptive / DIEHARD_TCACHE_ADAPT):
-/// each cache's per-class batch size K starts at ThreadCacheSlots and
-/// adapts to the thread's traffic — repeated refills of a class within one
-/// sweep window double its K toward a cap (8x the base, bounded by
-/// ThreadCache::MaxSlotsPerClass); classes idle across a whole window have
-/// K halved (floor: a quarter of the base) and any cached surplus above
-/// the new K is returned to the home partition via reclaimSlots, shrinking
-/// the cache's claim against the 1/M bound. Adaptation happens only on
-/// slow paths (refills and deferred flushes); pops and pushes are
-/// untouched. Placement stays uniform by construction: adaptation only
-/// changes *how many* slots a refill claims, never how they are chosen.
-///
 /// Epoch sweeper (Sweeper / DIEHARD_SWEEPER): an optional background
 /// maintenance thread that wakes every SweepIntervalMs and runs one pass
 /// over all four layers. A pass (1) ages out thread caches whose owners
@@ -185,12 +173,6 @@ struct ShardedHeapOptions {
   /// The shim maps DIEHARD_OVERFLOW onto this.
   bool OverflowRouting = true;
 
-  /// Lock at partition granularity (default). False degrades every shard
-  /// to one coarse lock shared by all twelve partitions — the pre-partition
-  /// behaviour — kept as a measurement baseline for bench_mt_scaling's
-  /// contention scenario.
-  bool PartitionLocking = true;
-
   /// K: per-thread, per-size-class cached slot count. 0 (default) disables
   /// the thread-cache tier entirely, leaving every operation on the locked
   /// paths — and small-object placement bit-identical to a lone
@@ -200,12 +182,6 @@ struct ShardedHeapOptions {
   /// [ThreadCache minimums, ThreadCache::Max*]). The shim maps
   /// DIEHARD_TCACHE onto this.
   size_t ThreadCacheSlots = 0;
-
-  /// Adapt each cache's per-class K to the owning thread's traffic: grow
-  /// toward a cap on frequent refills, shrink and return surplus slots on
-  /// idle (see the file comment). No effect with ThreadCacheSlots == 0.
-  /// The shim maps DIEHARD_TCACHE_ADAPT onto this.
-  bool ThreadCacheAdaptive = false;
 
   /// Start the background epoch sweeper (see the file comment): periodic
   /// sidecar drains, quiet-cache aging, empty-partition page return, and
@@ -236,15 +212,6 @@ public:
   /// loaded first) before giving up. Bounds the worst-case work of an
   /// allocation at saturation.
   static constexpr size_t MaxOverflowProbes = 8;
-
-  /// Adaptive cache sizing: a class must refill this many times within one
-  /// sweep window before its K doubles (the first refill after a quiet
-  /// window is free; the second marks the class hot).
-  static constexpr uint32_t CacheGrowRefills = 2;
-
-  /// Adaptive cache sizing: one idle-class shrink sweep per this many
-  /// slow-path events (refills + deferred flushes) of a cache.
-  static constexpr uint32_t CacheSweepPeriod = 32;
 
   /// Creates the shards per \p Options. As with DieHardHeap, a reservation
   /// failure leaves the heap unusable rather than throwing: isValid() turns
@@ -362,26 +329,11 @@ public:
   /// error. Lock-free read.
   uint64_t remoteFreeRejects() const;
 
-  /// The calling thread's current adaptive batch size K for size class
-  /// \p Class — ThreadCacheSlots until adaptation moves it — or 0 when the
-  /// cache tier is off, \p Class is out of range, or this thread has no
-  /// cache installed yet (the query never installs one). The dlsym
-  /// observability hook diehard_tcache_target_k() lands here.
-  size_t threadCacheTargetK(int Class) const;
-
-  /// Internal: full flush on behalf of the thread-exit destructor. Called
-  /// by threadCacheExitFlush() under the cache registry lock; not part of
-  /// the public surface.
-  void flushCacheAtThreadExit(ThreadCache &TC) { flushCacheFully(TC); }
-
-  /// Internal: full flush of a quiet thread's seized cache on behalf of
-  /// the sweeper (threadCacheAgeQuiet, under the cache registry lock).
-  /// Skips the adaptive-sizing bookkeeping — that state is owner-private
-  /// plain words the sweeper must not touch. Not part of the public
-  /// surface.
-  void flushCacheAged(ThreadCache &TC) {
-    flushCacheFully(TC, /*Adapt=*/false);
-  }
+  /// Internal: full flush on behalf of the thread-exit destructor
+  /// (threadCacheExitFlush) or of the sweeper aging a quiet thread's
+  /// seized cache (threadCacheAgeQuiet), both under the cache registry
+  /// lock. Not part of the public surface.
+  void flushCacheForRegistry(ThreadCache &TC) { flushCacheFully(TC); }
 
   /// Runs one synchronous sweeper pass on the calling thread (serialized
   /// with the background thread through the pass gate). Only meaningful
@@ -412,30 +364,11 @@ public:
   /// shards. Lock-free read.
   uint64_t spansReleased() const;
 
-  /// Donor pages currently-or-ever meshed onto a survivor's physical frame
-  /// by the sweeper's mesh passes, across all shards (monotonic counter,
-  /// not a gauge). Lock-free read.
-  uint64_t pagesMeshed() const;
-
-  /// Physical bytes reclaimed by meshing, across all shards. Lock-free
-  /// read.
-  uint64_t meshedBytes() const;
-
-  /// Fill-ratio gate for the sweeper's partial page return and mesh
-  /// scans: partitions fuller than this are skipped by the pass (a
-  /// mostly-set bitmap walk finds few releasable pages for its cost; the
-  /// partition will be scanned once it quiets down). Exposed so tests can
-  /// pin workloads on either side of the gate.
-  ///
-  /// Re-tuned against bench_space's fragmentation scenario when meshing
-  /// landed: the scenario idles at fill ~0.05 and produced identical RSS
-  /// trajectories and mesh counts with the gate at 0.25 and 0.5, so the
-  /// value is insensitive where it matters and 0.5 stands. It is also the
-  /// right shape for meshing specifically — at fill 0.5 (1/(2M) of the
-  /// slots, ~16 of 64 objects per 4 KB page for the 64 B class) randomly
-  /// placed pages almost never have disjoint slot masks, so scanning
-  /// fuller partitions for mesh pairs would burn bitmap walks on pages
-  /// that cannot pair.
+  /// Fill-ratio gate for the sweeper's partial page return: partitions
+  /// fuller than this are skipped by the pass (a mostly-set bitmap walk
+  /// finds few releasable pages for its cost; the partition will be
+  /// scanned once it quiets down). Exposed so tests can pin workloads on
+  /// either side of the gate.
   static constexpr double PartialReturnFillGate = 0.5;
 
   /// True when the epoch sweeper is configured and its thread started.
@@ -500,10 +433,9 @@ private:
     DieHardHeap Heap;
   };
 
-  /// The lock guarding partition \p Class of \p S. With PartitionLocking
-  /// off, every class maps to lock 0 (one coarse lock per shard).
-  std::mutex &partitionLock(const Shard &S, int Class) const {
-    return S.Locks[Opts.PartitionLocking ? Class : 0].M;
+  /// The lock guarding partition \p Class of \p S.
+  static std::mutex &partitionLock(const Shard &S, int Class) {
+    return S.Locks[Class].M;
   }
 
   /// Returns the calling thread's home shard index (assigning a token on
@@ -531,33 +463,21 @@ private:
   ThreadCache *cacheForThread();
 
   /// Refills \p TC's class-\p Class buffer with one locked batch claim of
-  /// the cache's current K from the home partition (draining the
-  /// partition's sidecar first, since the lock is held anyway) and pops
-  /// the first slot. Runs the adaptive grow/sweep bookkeeping when
-  /// enabled. \returns nullptr if the home partition is saturated (the
+  /// K slots from the home partition (draining the partition's sidecar
+  /// first, since the lock is held anyway) and pops the first slot.
+  /// \returns nullptr if the home partition is saturated (the
   /// caller falls back to the locked path, which may route overflow to a
   /// sibling).
   void *refillAndPop(ThreadCache &TC, int Class);
 
-  /// Adaptive sizing, post-refill: marks \p Class hot (doubling its K
-  /// toward the cap on repeated refills) and runs the periodic idle sweep.
-  void adaptAfterRefill(ThreadCache &TC, int Class);
-
-  /// Adaptive sizing: every CacheSweepPeriod slow-path events, halve the K
-  /// of classes with no refill since the last sweep and return any cached
-  /// surplus above the new K to the home partition.
-  void maybeSweepCache(ThreadCache &TC);
-
   /// Returns every deferred free to its owning partition: one locked batch
   /// per home-shard (owner, class) group, lock-free sidecar pushes for
-  /// groups owned by other shards. \p Adapt false (the sweeper's aged
-  /// flush) skips the adaptive idle sweep, whose bookkeeping is
-  /// owner-private.
-  void flushDeferred(ThreadCache &TC, bool Adapt = true);
+  /// groups owned by other shards.
+  void flushDeferred(ThreadCache &TC);
 
   /// flushDeferred plus reclamation of all unused cached slots and a fold
   /// of the cache's counters into the heap aggregates.
-  void flushCacheFully(ThreadCache &TC, bool Adapt = true);
+  void flushCacheFully(ThreadCache &TC);
 
   /// The heap-level relaxed gauges common to stats() and statsApprox()
   /// (large path, foreign frees, overflow, cache refill/flush counters,
@@ -649,14 +569,9 @@ private:
   uint64_t Id = 0;
 
   /// Resolved per-class cache batch size K (0 = tier disabled) and
-  /// deferred buffer capacity. With adaptive sizing, K is only each
-  /// cache's starting point: per-class targets move within
-  /// [CacheMinK, CacheCapPerClass], and buffers are sized for the cap.
+  /// deferred buffer capacity.
   uint32_t CacheSlotsPerClass = 0;
   uint32_t CacheDeferredCap = 0;
-  bool CacheAdaptive = false;
-  uint32_t CacheMinK = 0;
-  uint32_t CacheCapPerClass = 0;
 
   /// Registry of this heap's live caches (guarded by the process-global
   /// cache registry lock in ThreadCache.cpp).

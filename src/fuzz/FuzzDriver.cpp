@@ -829,7 +829,8 @@ FuzzConfig decodeFuzzConfig(const uint8_t *Data, size_t Size,
   FuzzConfig C;
   C.NumShards = 1 + (B1 & 3);
   C.ThreadCacheSlots = (B0 & 1) != 0 ? 8 : 0;
-  C.Adaptive = (B0 & 2) != 0 && C.ThreadCacheSlots != 0;
+  // B0 bit 1 is retired (it selected an adaptive cache size); it is
+  // ignored so committed inputs keep every other field in place.
   C.Sweeper = (B0 & 4) != 0;
   C.Overflow = (B0 & 8) == 0;
   C.RandomFill = (B0 & 16) != 0;
@@ -852,10 +853,7 @@ FuzzConfig decodeFuzzConfig(const uint8_t *Data, size_t Size,
   }
   C.Workers = (B1 >> 2) & 3;
   C.SweepIntervalMs = 1 + ((B1 >> 4) & 7); // 1..8 ms epochs.
-  // B1's top bit (formerly interval range 9..16, a redundant timing axis)
-  // now toggles meshing; forced off with RandomFill exactly like the shim
-  // (a meshed donor's punched frame refaults zero, destroying fill).
-  C.Meshing = (B1 & 0x80) != 0 && !C.RandomFill;
+  // B1's top bit is retired (it toggled page meshing) and ignored.
   C.Seed = Rng::deriveStream(BaseSeed, 1 + B2 + 256 * B3);
   if (C.Seed == 0)
     C.Seed = 0x5EEDULL; // Zero would select true randomness.
@@ -873,11 +871,9 @@ FuzzResult runFuzzSequence(const uint8_t *Data, size_t Size,
   Opts.Heap.Seed = Cfg.Seed;
   Opts.Heap.RandomFillObjects = Cfg.RandomFill;
   Opts.Heap.RandomFillOnFree = Cfg.RandomFill;
-  Opts.Heap.Meshing = Cfg.Meshing;
   Opts.NumShards = Cfg.NumShards;
   Opts.OverflowRouting = Cfg.Overflow;
   Opts.ThreadCacheSlots = Cfg.ThreadCacheSlots;
-  Opts.ThreadCacheAdaptive = Cfg.Adaptive;
   Opts.Sweeper = Cfg.Sweeper;
   // Fast epochs either way: aging must happen mid-sequence.
   Opts.SweepIntervalMs = Cfg.SweepIntervalMs;

@@ -75,7 +75,6 @@ const char *errorClassName(int Class);
 struct FuzzConfig {
   size_t NumShards = 1;        ///< 1..4.
   size_t ThreadCacheSlots = 0; ///< 0 (tier off) or 8 (DIEHARD_TCACHE).
-  bool Adaptive = false;       ///< DIEHARD_TCACHE_ADAPT.
   bool Sweeper = false;        ///< DIEHARD_SWEEPER.
   size_t SweepIntervalMs = 2;  ///< Sweep epoch length, 1..16 ms.
   /// DIEHARD_PAGE_RETURN for the run. Off and Free must leave every
@@ -85,11 +84,6 @@ struct FuzzConfig {
   PageReturnPolicy PageReturn = PageReturnPolicy::DontNeed;
   bool Overflow = true;        ///< DIEHARD_OVERFLOW.
   bool RandomFill = false;     ///< Replica-style object fill.
-  /// DIEHARD_MESH for the run (forced off with RandomFill, like the
-  /// shim). Meshing must leave every differential check untouched: pair
-  /// remaps only change which physical frame backs a virtual page, never
-  /// placement, contents, or validation outcomes.
-  bool Meshing = false;
   size_t HeapSize = 0;         ///< Per-shard reservation bytes.
   size_t Workers = 0;          ///< Spawned worker threads, 0..3.
   uint64_t Seed = 0;           ///< Resolved heap seed (never 0).

@@ -35,12 +35,6 @@
 ///                       timing — and under an explicit DIEHARD_SHARDS=1,
 ///                       where bit-identity with a lone DieHardHeap is
 ///                       being enforced.
-///   DIEHARD_TCACHE_ADAPT "1" adapts each cache's per-class K to the
-///                       thread's traffic: frequent refills double K
-///                       toward a cap (8x the base), idle classes halve
-///                       it and return the surplus slots to their
-///                       partition. Off by default; meaningless without
-///                       the thread cache.
 ///   DIEHARD_SWEEPER     "1" starts the background epoch sweeper: periodic
 ///                       passes drain idle partitions' remote-free
 ///                       sidecars, age out quiet threads' caches, return
@@ -219,9 +213,7 @@ void dumpStatsAtExit() {
       "\"sweep_passes\":%llu,\"sweeper_drained\":%llu,"
       "\"aged_caches\":%llu,\"pages_returned\":%llu,"
       "\"partial_returns\":%llu,\"spans_released\":%llu,"
-      "\"mesh_candidates\":%llu,\"pages_meshed\":%llu,"
-      "\"meshed_bytes\":%llu,\"probes\":%llu,"
-      "\"realloc_rejects\":%llu}}\n",
+      "\"probes\":%llu,\"realloc_rejects\":%llu}}\n",
       static_cast<unsigned long long>(S.Allocations),
       static_cast<unsigned long long>(S.Frees),
       static_cast<unsigned long long>(S.FailedAllocations),
@@ -240,9 +232,6 @@ void dumpStatsAtExit() {
       static_cast<unsigned long long>(S.PagesReturned),
       static_cast<unsigned long long>(S.PartialReturns),
       static_cast<unsigned long long>(S.SpansReleased),
-      static_cast<unsigned long long>(S.MeshCandidates),
-      static_cast<unsigned long long>(S.PagesMeshed),
-      static_cast<unsigned long long>(S.MeshedBytes),
       static_cast<unsigned long long>(S.Probes),
       static_cast<unsigned long long>(S.ReallocRejects));
   if (N > 0)
@@ -266,13 +255,9 @@ ShardedHeap *constructHeap() {
   Options.NumShards = envShards(IsReplica);
   Options.OverflowRouting = envFlag("DIEHARD_OVERFLOW", true);
   Options.ThreadCacheSlots = envThreadCache(IsReplica);
-  Options.ThreadCacheAdaptive = envFlag("DIEHARD_TCACHE_ADAPT", false);
   // Replicas never run the sweeper: its thread would interleave with the
   // replica's allocation sequence and break per-seed determinism.
   Options.Sweeper = !IsReplica && envFlag("DIEHARD_SWEEPER", false);
-  // Meshing is likewise replica-incompatible (random fill relies on pages
-  // keeping their contents; a meshed donor's punched frame refaults zero).
-  Options.Heap.Meshing = !IsReplica && envFlag("DIEHARD_MESH", false);
   size_t SweepMs = envSize("DIEHARD_SWEEP_MS", Options.SweepIntervalMs);
   Options.SweepIntervalMs =
       SweepMs > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(SweepMs);
@@ -469,14 +454,6 @@ size_t diehard_remote_frees(void) {
   return H != nullptr ? static_cast<size_t>(H->remoteFrees()) : 0;
 }
 
-/// The calling thread's current adaptive batch size K for size class
-/// \p Class (see DIEHARD_TCACHE_ADAPT), or 0 when the cache tier is off,
-/// the class is out of range, or this thread has no cache yet.
-size_t diehard_tcache_target_k(int Class) {
-  ShardedHeap *H = TheHeap.load(std::memory_order_acquire);
-  return H != nullptr ? H->threadCacheTargetK(Class) : 0;
-}
-
 /// Completed epoch-sweeper passes (see DIEHARD_SWEEPER); 0 with the
 /// sweeper off or before the heap exists. Lock-free.
 size_t diehard_sweep_passes(void) {
@@ -507,13 +484,6 @@ size_t diehard_partial_returns(void) {
 size_t diehard_spans_released(void) {
   ShardedHeap *H = TheHeap.load(std::memory_order_acquire);
   return H != nullptr ? static_cast<size_t>(H->spansReleased()) : 0;
-}
-
-/// Donor pages meshed onto a survivor's physical frame by the sweeper's
-/// mesh passes (see DIEHARD_MESH). Lock-free.
-size_t diehard_pages_meshed(void) {
-  ShardedHeap *H = TheHeap.load(std::memory_order_acquire);
-  return H != nullptr ? static_cast<size_t>(H->pagesMeshed()) : 0;
 }
 
 } // extern "C"

@@ -372,8 +372,7 @@ TEST(ShardedHeapTest, SameShardDifferentClassesRunConcurrently) {
   // allocate different size classes must be able to proceed independently.
   // One shard forces every thread onto the same DieHardHeap; each thread
   // hammers its own size class. Correctness (and TSan cleanliness in the
-  // sanitizer lanes) is the assertion — the throughput win is measured by
-  // bench_mt_scaling's mixed-class scenario.
+  // sanitizer lanes) is the assertion.
   ShardedHeap H(smallOptions(1));
   ASSERT_TRUE(H.isValid());
 
@@ -531,40 +530,6 @@ TEST(ShardedHeapTest, OverflowStopsWhenEverySiblingIsSaturated) {
   for (void *P : Held)
     H.deallocate(P);
   H.drainRemoteFrees(); // Half of Held lived on the sibling shard.
-  EXPECT_EQ(H.bytesLive(), 0u);
-}
-
-TEST(ShardedHeapTest, CoarseLockModeKeepsSemantics) {
-  // PartitionLocking=false degrades to one lock per shard (the measurement
-  // baseline for bench_mt_scaling). Behaviour must be unchanged — only the
-  // contention profile differs.
-  ShardedHeapOptions O = smallOptions(2);
-  O.PartitionLocking = false;
-  ShardedHeap H(O);
-  ASSERT_TRUE(H.isValid());
-
-  std::atomic<int> Failures{0};
-  std::vector<std::thread> Workers;
-  for (int T = 0; T < 4; ++T)
-    Workers.emplace_back([&H, &Failures, T] {
-      std::vector<void *> Live;
-      for (int R = 0; R < 1000; ++R) {
-        void *P = H.allocate(8u << (R % 6));
-        if (P == nullptr) {
-          ++Failures;
-          return;
-        }
-        Live.push_back(P);
-      }
-      (void)T;
-      for (void *P : Live)
-        H.deallocate(P);
-    });
-  for (std::thread &W : Workers)
-    W.join();
-  EXPECT_EQ(Failures.load(), 0);
-  DieHardStats S = H.stats();
-  EXPECT_EQ(S.Allocations, S.Frees);
   EXPECT_EQ(H.bytesLive(), 0u);
 }
 

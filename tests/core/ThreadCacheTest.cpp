@@ -428,54 +428,6 @@ TEST(ThreadCacheTest, CachedPlacementIsStatisticallyUniform) {
   EXPECT_LT(Chi2U, 103.4) << "uncached placement not uniform over slots";
 }
 
-TEST(ThreadCacheTest, AdaptiveCachedPlacementIsStatisticallyUniform) {
-  // The randomization contract re-verified for adaptive sizing: moving K
-  // changes only how MANY slots a refill claims — each claim still runs
-  // allocate()'s exact uniform probe — so adaptive-cached placement must
-  // be indistinguishable from uncached. Same two-sample chi-square
-  // machinery as above; the fill-to-threshold rounds force refills at
-  // several K values as the class heats up and the idle sweeps pull K
-  // back between rounds.
-  ShardedHeapOptions AO = cachedOptions(16, 5005);
-  AO.ThreadCacheAdaptive = true;
-  ShardedHeap Adaptive(AO);
-  ShardedHeap Uncached(cachedOptions(0, 6006));
-  ASSERT_TRUE(Adaptive.isValid());
-  ASSERT_TRUE(Uncached.isValid());
-
-  constexpr int Rounds = 300;
-  size_t AdaptiveSamples = 0, UncachedSamples = 0;
-  std::vector<uint64_t> HA =
-      slotHistogram(Adaptive, Rounds, AdaptiveSamples);
-  std::vector<uint64_t> HU =
-      slotHistogram(Uncached, Rounds, UncachedSamples);
-  ASSERT_EQ(HA.size(), HU.size());
-  ASSERT_EQ(AdaptiveSamples, UncachedSamples)
-      << "both configurations must fill to the same 1/M bound";
-
-  double Chi2 = 0.0;
-  double Total = static_cast<double>(AdaptiveSamples + UncachedSamples);
-  for (size_t S = 0; S < HA.size(); ++S) {
-    double RowTotal = static_cast<double>(HA[S] + HU[S]);
-    double EA = RowTotal * static_cast<double>(AdaptiveSamples) / Total;
-    double EU = RowTotal * static_cast<double>(UncachedSamples) / Total;
-    double DA = static_cast<double>(HA[S]) - EA;
-    double DU = static_cast<double>(HU[S]) - EU;
-    Chi2 += DA * DA / EA + DU * DU / EU;
-  }
-  EXPECT_LT(Chi2, 103.4)
-      << "adaptive-cached vs uncached distributions diverge (df=63)";
-
-  double Expected = static_cast<double>(AdaptiveSamples) /
-                    static_cast<double>(HA.size());
-  double Chi2A = 0.0;
-  for (size_t S = 0; S < HA.size(); ++S) {
-    double DA = static_cast<double>(HA[S]) - Expected;
-    Chi2A += DA * DA / Expected;
-  }
-  EXPECT_LT(Chi2A, 103.4) << "adaptive placement not uniform over slots";
-}
-
 TEST(ThreadCacheTest, ConcurrentCachedStressStaysConsistent) {
   // The TSan/ASan workload for the cache tier: several threads churning
   // mixed sizes with cross-thread frees through a shared exchange, all on

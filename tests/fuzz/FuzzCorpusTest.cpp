@@ -78,7 +78,6 @@ TEST(FuzzCorpusTest, EveryCommittedInputReplaysClean) {
   bool SawCached = false, SawUncached = false, SawMultiShard = false;
   bool SawWorkers = false;
   bool SawPageReturnFree = false, SawPageReturnOff = false;
-  bool SawMeshing = false;
 
   for (const std::string &Path : Files) {
     std::vector<uint8_t> Bytes = readFile(Path);
@@ -95,7 +94,6 @@ TEST(FuzzCorpusTest, EveryCommittedInputReplaysClean) {
         SawPageReturnFree || R.Config.PageReturn == PageReturnPolicy::Free;
     SawPageReturnOff =
         SawPageReturnOff || R.Config.PageReturn == PageReturnPolicy::Off;
-    SawMeshing = SawMeshing || R.Config.Meshing;
   }
 
   EXPECT_GT(TotalOps, 0u);
@@ -111,7 +109,6 @@ TEST(FuzzCorpusTest, EveryCommittedInputReplaysClean) {
       << "corpus never selects DIEHARD_PAGE_RETURN=free";
   EXPECT_TRUE(SawPageReturnOff)
       << "corpus never selects DIEHARD_PAGE_RETURN=off";
-  EXPECT_TRUE(SawMeshing) << "corpus never enables DIEHARD_MESH";
 }
 
 TEST(FuzzCorpusTest, DeterministicInputsReplayBitIdentically) {

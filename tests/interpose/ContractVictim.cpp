@@ -14,6 +14,13 @@
 /// ENOMEM instead of served) are gated on DIEHARD_CONTRACT_SHIM=1 in the
 /// environment.
 ///
+/// Run with the single argument `fork`, it checks the fork contract
+/// instead: a child's heap is a copy of the parent's, not shared with it,
+/// so objects the child overwrites keep the parent's contents, and both
+/// sides keep allocating afterwards. InterposeTest runs it under the shim
+/// with and without the epoch sweeper, whose pthread_atfork handlers then
+/// fire against a live sweeper thread.
+///
 /// Prints CONTRACT-OK and exits 0 on success; prints one CONTRACT-FAIL
 /// line naming the violated contract and exits 1 otherwise.
 ///
@@ -26,6 +33,7 @@
 #include <cstring>
 
 #include <malloc.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 namespace {
@@ -207,14 +215,89 @@ void checkUsableSizeMonotonicity() {
   }
 }
 
+/// The word stamped at \p Word of fork-contract object \p Index.
+uint64_t forkStamp(size_t Index, size_t Word) {
+  return (Index + 1) * 0x9E3779B97F4A7C15ULL ^ Word;
+}
+
+void checkForkIsolation() {
+  constexpr size_t Count = 4096, Size = 64, Words = Size / sizeof(uint64_t);
+  static uint64_t *Objects[Count];
+  for (size_t I = 0; I < Count; ++I) {
+    Objects[I] = static_cast<uint64_t *>(std::malloc(Size));
+    if (Objects[I] == nullptr) {
+      check(false, "fork: parent malloc(64) succeeds before fork");
+      return;
+    }
+    for (size_t W = 0; W < Words; ++W)
+      Objects[I][W] = forkStamp(I, W);
+  }
+  // Give a background sweeper time to run passes, so fork() lands while
+  // its thread is live and the atfork handlers have real work to do.
+  ::usleep(20 * 1000);
+  std::fflush(stdout); // The child must not re-emit buffered output.
+  pid_t Pid = ::fork();
+  check(Pid >= 0, "fork: fork() succeeds");
+  if (Pid < 0)
+    return;
+  if (Pid == 0) {
+    // Child: overwrite every inherited object, then keep allocating. Under
+    // a copy-on-write heap none of this is visible to the parent.
+    for (size_t I = 0; I < Count; ++I)
+      std::memset(Objects[I], 0xEE, Size);
+    static void *More[Count];
+    for (size_t I = 0; I < Count; ++I) {
+      More[I] = std::malloc(Size);
+      if (More[I] == nullptr)
+        ::_exit(2);
+      std::memset(More[I], 0x11, Size);
+    }
+    for (size_t I = 0; I < Count; ++I)
+      std::free(More[I]);
+    std::exit(0);
+  }
+  int Status = 0;
+  check(::waitpid(Pid, &Status, 0) == Pid, "fork: waitpid reaps the child");
+  check(WIFEXITED(Status) && WEXITSTATUS(Status) == 0,
+        "fork: child allocates after fork and exits 0");
+  size_t Overwritten = 0;
+  for (size_t I = 0; I < Count; ++I)
+    for (size_t W = 0; W < Words; ++W)
+      if (Objects[I][W] != forkStamp(I, W)) {
+        ++Overwritten;
+        break;
+      }
+  if (Overwritten != 0)
+    std::printf("fork: %zu of %zu parent objects changed by the child\n",
+                Overwritten, Count);
+  check(Overwritten == 0, "fork: child writes never reach parent objects");
+  // The parent's heap stays fully usable after the fork.
+  for (size_t I = 0; I < Count; ++I)
+    std::free(Objects[I]);
+  for (size_t I = 0; I < Count; ++I) {
+    Objects[I] = static_cast<uint64_t *>(std::malloc(Size));
+    if (Objects[I] == nullptr) {
+      check(false, "fork: parent malloc(64) succeeds after fork");
+      return;
+    }
+    std::memset(Objects[I], 0x22, Size);
+  }
+  for (size_t I = 0; I < Count; ++I)
+    std::free(Objects[I]);
+}
+
 } // namespace
 
-int main() {
-  checkMallocBasics();
-  checkCalloc();
-  checkRealloc();
-  checkAlignedAllocation();
-  checkUsableSizeMonotonicity();
+int main(int argc, char **argv) {
+  if (argc == 2 && std::strcmp(argv[1], "fork") == 0) {
+    checkForkIsolation();
+  } else {
+    checkMallocBasics();
+    checkCalloc();
+    checkRealloc();
+    checkAlignedAllocation();
+    checkUsableSizeMonotonicity();
+  }
   if (Failures != 0)
     return 1;
   std::printf("CONTRACT-OK\n");

@@ -199,29 +199,6 @@ TEST(InterposeTest, TinyThreadCacheForcesConstantRefills) {
   EXPECT_EQ(R.Output, "MT-SHARD-OK\n");
 }
 
-TEST(InterposeTest, AdaptiveThreadCacheServesTheFullStress) {
-  // DIEHARD_TCACHE_ADAPT moves every cache's per-class K under the storm
-  // (growth on the hot phases, idle sweeps between them) while the
-  // victim's phase 3 pins the hygiene invariants: zero cached slots after
-  // joins, and the adaptive-K hook honouring its bounds.
-  RunResult R = runPreloaded(
-      DIEHARD_MT_SHARD_VICTIM_PATH,
-      "DIEHARD_SHARDS=4 DIEHARD_TCACHE=8 DIEHARD_TCACHE_ADAPT=1");
-  EXPECT_EQ(R.ExitCode, 0);
-  EXPECT_EQ(R.Output, "MT-SHARD-OK\n");
-}
-
-TEST(InterposeTest, AdaptiveTinyCacheStaysCorrect) {
-  // The smallest base with adaptation on: K starts at 1, the floor
-  // clamps at 2, growth runs 1 -> 2 -> ... -> 8 (the 8x cap). Constant
-  // boundary traffic for the grow/shrink arithmetic.
-  RunResult R = runPreloaded(
-      DIEHARD_MT_SHARD_VICTIM_PATH,
-      "DIEHARD_SHARDS=2 DIEHARD_TCACHE=1 DIEHARD_TCACHE_ADAPT=1");
-  EXPECT_EQ(R.ExitCode, 0);
-  EXPECT_EQ(R.Output, "MT-SHARD-OK\n");
-}
-
 TEST(InterposeTest, SweeperServesTheFullStress) {
   // A fast sweeper (5 ms passes) runs concurrently with the whole
   // cross-thread stress: drains, cache aging and page returns must never
@@ -339,6 +316,28 @@ TEST(InterposeTest, ContractVictimPassesUnderShardedCachedShim) {
   RunResult R = runPreloaded(
       DIEHARD_CONTRACT_VICTIM_PATH,
       "DIEHARD_CONTRACT_SHIM=1 DIEHARD_SHARDS=4 DIEHARD_TCACHE=8");
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_EQ(R.Output, "CONTRACT-OK\n");
+}
+
+TEST(InterposeTest, ForkKeepsParentAndChildHeapsApart) {
+  // The shim in its default configuration: after fork() the child
+  // overwrites all 4096 inherited objects and keeps allocating; the
+  // parent must find every one of its stamps intact.
+  RunResult R = runPreloaded(std::string(DIEHARD_CONTRACT_VICTIM_PATH) +
+                             " fork");
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_EQ(R.Output, "CONTRACT-OK\n");
+}
+
+TEST(InterposeTest, ForkWithSweeperRunningKeepsHeapsApart) {
+  // The same fork contract with the epoch sweeper making 1 ms passes, so
+  // fork() runs its pthread_atfork handlers against a live sweeper
+  // thread: the child inherits no mid-pass state and allocates without a
+  // sweeper.
+  RunResult R = runPreloaded(std::string(DIEHARD_CONTRACT_VICTIM_PATH) +
+                                 " fork",
+                             "DIEHARD_SWEEPER=1 DIEHARD_SWEEP_MS=1");
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
   EXPECT_EQ(R.Output, "CONTRACT-OK\n");
 }

@@ -19,6 +19,12 @@
 #include <gtest/gtest.h>
 
 namespace diehard {
+
+/// Prints a preset by name. Without this, GoogleTest dumps the raw bytes
+/// of the struct, which include the std::string's heap pointer, so the
+/// listed test names change with every run under ASLR.
+void PrintTo(const WorkloadParams &P, std::ostream *OS) { *OS << P.Name; }
+
 namespace {
 
 WorkloadParams tinyWorkload(uint64_t Seed = 1) {

@@ -58,23 +58,21 @@ struct Totals {
 enum CoverageBit {
   // Bits 0..4: the five error classes, by ErrorClass index.
   BitTcache = 5,
-  BitAdaptive = 6,
-  BitSweeper = 7,
-  BitSweeperOff = 8, // Guarantees a deterministic replay entry.
-  BitOverflowOff = 9,
-  BitMultiShard = 10,
-  BitWorkers = 11,
-  BitRandomFill = 12,
-  BitLargeObjects = 13,
-  BitSaturation = 14,
-  BitRemoteFrees = 15,
+  BitSweeper = 6,
+  BitSweeperOff = 7, // Guarantees a deterministic replay entry.
+  BitOverflowOff = 8,
+  BitMultiShard = 9,
+  BitWorkers = 10,
+  BitRandomFill = 11,
+  BitLargeObjects = 12,
+  BitSaturation = 13,
+  BitRemoteFrees = 14,
   // Config-derived only (never from runtime counters): how many pages a
   // run actually returns depends on sweep timing, and a corpus selected
   // on timing-dependent coverage would not replay to the same bits.
-  BitPageReturnFree = 16,
-  BitPageReturnOff = 17,
-  BitMeshing = 18,
-  NumCoverageBits = 19
+  BitPageReturnFree = 15,
+  BitPageReturnOff = 16,
+  NumCoverageBits = 17
 };
 
 uint32_t coverageOf(const FuzzResult &R) {
@@ -84,8 +82,6 @@ uint32_t coverageOf(const FuzzResult &R) {
       Bits |= 1u << C;
   if (R.Config.ThreadCacheSlots > 0)
     Bits |= 1u << BitTcache;
-  if (R.Config.Adaptive)
-    Bits |= 1u << BitAdaptive;
   Bits |= 1u << (R.Config.Sweeper ? BitSweeper : BitSweeperOff);
   if (!R.Config.Overflow)
     Bits |= 1u << BitOverflowOff;
@@ -105,8 +101,6 @@ uint32_t coverageOf(const FuzzResult &R) {
     Bits |= 1u << BitPageReturnFree;
   if (R.Config.PageReturn == diehard::PageReturnPolicy::Off)
     Bits |= 1u << BitPageReturnOff;
-  if (R.Config.Meshing)
-    Bits |= 1u << BitMeshing;
   return Bits;
 }
 
@@ -206,11 +200,11 @@ void reportFailure(const FuzzResult &R, const std::string &Origin) {
                  ? "off"
                  : "dontneed");
   std::fprintf(stderr,
-               "  config: shards=%zu tcache=%zu adapt=%d sweeper=%d/%zums "
+               "  config: shards=%zu tcache=%zu sweeper=%d/%zums "
                "pagereturn=%s overflow=%d fill=%d workers=%zu heap=%zuMB "
                "seed=%llu\n",
                R.Config.NumShards, R.Config.ThreadCacheSlots,
-               R.Config.Adaptive ? 1 : 0, R.Config.Sweeper ? 1 : 0,
+               R.Config.Sweeper ? 1 : 0,
                R.Config.SweepIntervalMs, Policy, R.Config.Overflow ? 1 : 0,
                R.Config.RandomFill ? 1 : 0, R.Config.Workers,
                R.Config.HeapSize >> 20,

@@ -1,4 +1,4 @@
-//===- bench/bench_adaptive.cpp - adaptive vs fixed heap ------------------===//
+//===- bench/bench_adaptive.cpp - elastic vs fixed spans ------------------===//
 //
 // Part of the DieHard reproduction (Berger & Zorn, PLDI 2006).
 //
@@ -6,18 +6,19 @@
 ///
 /// \file
 /// Evaluates the Section 9 future-work extension implemented in this
-/// repository: the adaptive heap that grows regions on demand versus the
-/// paper's fixed maximum-size heap. Reports runtime and reserved address
-/// space across the allocation-intensive suite.
+/// repository: DieHardHeap with elastic spans, whose partitions grow their
+/// placement span on demand, versus the paper's fixed maximum-size heap.
+/// Reports runtime and the active-span bytes (the address range placement
+/// draws from) across the allocation-intensive suite.
 ///
-/// Expected shape: near-identical runtime (growth amortizes away), with
-/// reservation proportional to each program's live demand instead of a
-/// fixed 384 MB — addressing the paper's "reduced address space" concern
-/// for 32-bit systems (Section 4.5).
+/// Expected shape: the active span proportional to each program's live
+/// demand instead of the fixed 384 MB — addressing the paper's "reduced
+/// address space" concern for 32-bit systems (Section 4.5) — and a lower
+/// runtime, because growth amortizes away while a compact span touches far
+/// fewer fresh pages.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "baselines/AdaptiveAllocator.h"
 #include "baselines/DieHardAllocator.h"
 #include "bench/BenchUtil.h"
 #include "workloads/WorkloadSuite.h"
@@ -27,10 +28,10 @@
 using namespace diehard;
 
 int main() {
-  std::printf("Extension: adaptive region growth (paper Section 9)\n");
+  std::printf("Extension: elastic spans (paper Section 9)\n");
   bench::printRule(78);
   std::printf("%-14s %12s %12s %16s %16s\n", "benchmark", "fixed (s)",
-              "adaptive (s)", "fixed reserve", "adaptive reserve");
+              "elastic (s)", "fixed span", "elastic span");
   bench::printRule(78);
 
   for (const WorkloadParams &P : allocationIntensiveSuite()) {
@@ -42,18 +43,19 @@ int main() {
     DieHardAllocator FixedA(Fixed);
     double TFixed = bench::timeWorkload(W, FixedA, 2);
 
-    AdaptiveOptions Adaptive;
-    Adaptive.Seed = 0xADA + P.Seed;
-    AdaptiveAllocator AdaptiveA(Adaptive);
-    double TAdaptive = bench::timeWorkload(W, AdaptiveA, 2);
+    DieHardOptions Elastic = Fixed;
+    Elastic.ElasticSpans = true;
+    DieHardAllocator ElasticA(Elastic);
+    double TElastic = bench::timeWorkload(W, ElasticA, 2);
 
-    std::printf("%-14s %12.3f %12.3f %13zu MB %13zu MB\n", P.Name.c_str(),
-                TFixed, TAdaptive, Fixed.HeapSize >> 20,
-                AdaptiveA.heap().reservedBytes() >> 20);
+    std::printf("%-14s %12.3f %12.3f %13zu MB %13zu KB\n", P.Name.c_str(),
+                TFixed, TElastic, FixedA.heap().activeBytes() >> 20,
+                ElasticA.heap().activeBytes() >> 10);
   }
   bench::printRule(78);
-  std::printf("Shape: runtimes match; the adaptive heap reserves only what\n"
-              "the live set demands (times M), recovering the address space\n"
-              "the fixed design gives up (Section 4.5 / Section 9).\n");
+  std::printf("Shape: elastic spans place objects only over what the live\n"
+              "set demands (times M), recovering the address space the\n"
+              "fixed design spreads over (Section 4.5 / 9); they also run\n"
+              "faster here, touching far fewer fresh pages.\n");
   return 0;
 }

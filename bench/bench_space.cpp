@@ -9,8 +9,9 @@
 /// and 8): DieHard touches more pages than a compact freelist allocator
 /// (random placement spreads the live set across each 1/M-bounded region),
 /// conservative GC holds 3-5x malloc/free's footprint (garbage awaits
-/// collection), and the Section 9 adaptive variant recovers most of the
-/// fixed design's cost by growing regions on demand.
+/// collection), and the Section 9 adaptive variant (DieHardHeap with
+/// elastic spans) recovers most of the fixed design's cost by growing each
+/// partition's placement span on demand.
 ///
 /// Each allocator runs the espresso-like workload in a forked child; the
 /// parent reports the child's peak resident set (ru_maxrss), the honest
@@ -28,13 +29,7 @@
 /// that pins one live object in every size-class partition (so no
 /// partition is ever fully empty and only *partial* page return can shed
 /// anything), bursts, frees, and idles — across the page-return policies
-/// (off / dontneed / free) and the sweeper switch. Under MADV_FREE the
-/// kernel keeps lazily-freed pages resident until pressure, so the
-/// matrix reports effective RSS = resident - LazyFree (from
-/// /proc/self/smaps_rollup) alongside the raw number — and then applies
-/// real pressure (MADV_PAGEOUT over the heap's anonymous mappings) and
-/// samples once more, so the `free` row's LazyFree parking demonstrably
-/// converges to the effective number instead of being taken on faith.
+/// (off / dontneed) and the sweeper switch.
 ///
 /// After the tables the bench emits one line starting with "JSON: " —
 /// the machine-readable summary CI archives and diffs against the
@@ -42,7 +37,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "baselines/AdaptiveAllocator.h"
 #include "baselines/DieHardAllocator.h"
 #include "baselines/GcAllocator.h"
 #include "baselines/LeaAllocator.h"
@@ -60,7 +54,6 @@
 #include <string>
 #include <vector>
 
-#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -152,14 +145,9 @@ struct ChurnSample {
   const char *Name = "";
   PageReturnPolicy Policy = PageReturnPolicy::DontNeed;
   bool Sweeper = true;
-  long Start = 0;        ///< KB, heap mapped and partitions pinned.
-  long Burst = 0;        ///< KB, at the top of the churn burst.
-  long Idle = 0;         ///< KB, after the idle tail (raw resident).
-  long IdleLazyFree = 0; ///< KB of that still resident only as LazyFree.
-  long Pressure = 0;     ///< KB, after MADV_PAGEOUT reclaims LazyFree.
-  /// The number the matrix compares: what the process actually holds once
-  /// lazily-freed pages are discounted.
-  long effectiveIdle() const { return Idle - IdleLazyFree; }
+  long Start = 0; ///< KB, heap mapped and partitions pinned.
+  long Burst = 0; ///< KB, at the top of the churn burst.
+  long Idle = 0;  ///< KB, after the idle tail.
 };
 
 /// Runs the pinned-partition churn scenario in a forked child: one live
@@ -220,13 +208,6 @@ void churnTimeline(ChurnSample &S) {
         Heap.deallocate(P);
       ::usleep(200 * 1000); // Idle tail: twenty sweep epochs.
       S.Idle = currentRssKb();
-      S.IdleLazyFree = lazyFreeKb();
-      // Memory-pressure phase: page out the heap's anonymous mappings so
-      // MADV_FREE'd pages are actually reclaimed, not just flagged. The
-      // `free` row's raw idle number converges to its effective number
-      // here; the eager policies barely move.
-      pageOutAnonymous();
-      S.Pressure = currentRssKb();
       for (void *P : Pins)
         Heap.deallocate(P);
     }
@@ -296,23 +277,26 @@ int main() {
               Fixed / 1024.0, static_cast<double>(Fixed) / Baseline);
   recordJson("peak_espresso", "diehard_fixed", Fixed);
 
-  long Adaptive = peakRssKb([] {
-    AdaptiveOptions O;
+  long Elastic = peakRssKb([] {
+    DieHardOptions O;
+    O.HeapSize = 384 * 1024 * 1024;
     O.Seed = 0x5BACE;
-    AdaptiveAllocator A(O);
+    O.ElasticSpans = true;
+    DieHardAllocator A(O);
     SyntheticWorkload W(driver());
     W.run(A);
   });
-  std::printf("%-26s %14.1f %13.2fx\n", "diehard (adaptive, M=2)",
-              Adaptive / 1024.0, static_cast<double>(Adaptive) / Baseline);
-  recordJson("peak_espresso", "diehard_adaptive", Adaptive);
+  std::printf("%-26s %14.1f %13.2fx\n", "diehard (elastic, M=2)",
+              Elastic / 1024.0, static_cast<double>(Elastic) / Baseline);
+  recordJson("peak_espresso", "diehard_adaptive", Elastic);
 
   bench::printRule();
   std::printf("Shape: freelist is the compact baseline; the collector\n"
               "holds several times more (garbage awaits collection);\n"
               "fixed DieHard touches pages across its randomized regions;\n"
-              "the adaptive variant recovers most of that by sizing\n"
-              "regions to demand (Sections 4.5, 8, 9).\n"
+              "the adaptive variant (elastic spans) recovers most of that\n"
+              "by sizing each placement span to demand (Sections 4.5, 8,\n"
+              "9).\n"
               "Note: this workload's live set is well under a megabyte, so\n"
               "the fixed-heap ratio is near its worst case — the paper's\n"
               "\"up to 12M more memory than needed\" concern, and exactly\n"
@@ -344,38 +328,29 @@ int main() {
   std::printf("\npartial page return under churn "
               "(one pinned object per partition)\n");
   bench::printRule();
-  std::printf("%-18s %8s %8s %8s %8s %9s %8s\n", "config", "start KB",
-              "burst KB", "idle KB", "lazyfree", "eff. idle", "pressure");
+  std::printf("%-18s %8s %8s %8s\n", "config", "start KB", "burst KB",
+              "idle KB");
   bench::printRule();
   ChurnSample Matrix[] = {
       {"return-off", PageReturnPolicy::Off, true},
       {"dontneed-nosweep", PageReturnPolicy::DontNeed, false},
       {"dontneed", PageReturnPolicy::DontNeed, true},
-      {"free", PageReturnPolicy::Free, true},
   };
   for (ChurnSample &S : Matrix) {
     churnTimeline(S);
-    std::printf("%-18s %8ld %8ld %8ld %8ld %9ld %8ld\n", S.Name, S.Start,
-                S.Burst, S.Idle, S.IdleLazyFree, S.effectiveIdle(),
-                S.Pressure);
-    recordJson("churn_idle", S.Name, S.effectiveIdle());
-    recordJson("churn_pressure", S.Name, S.Pressure);
+    std::printf("%-18s %8ld %8ld %8ld\n", S.Name, S.Start, S.Burst, S.Idle);
+    recordJson("churn_idle", S.Name, S.Idle);
   }
   bench::printRule();
   const ChurnSample &ReturnOff = Matrix[0];
   const ChurnSample &DontNeed = Matrix[2];
   double Shed =
-      ReturnOff.effectiveIdle() > 0
-          ? 100.0 * (ReturnOff.effectiveIdle() - DontNeed.effectiveIdle()) /
-                ReturnOff.effectiveIdle()
+      ReturnOff.Idle > 0
+          ? 100.0 * (ReturnOff.Idle - DontNeed.Idle) / ReturnOff.Idle
           : 0.0;
   std::printf("steady-state idle RSS with dontneed+sweeper is %.0f%% below\n"
-              "page-return-off (span scanner returns object-free pages of\n"
-              "partitions that are still live; MADV_FREE parks them as\n"
-              "LazyFree until memory pressure). The pressure column is RSS\n"
-              "after MADV_PAGEOUT over the heap mappings: the free row's\n"
-              "raw idle number converges to its effective number once the\n"
-              "kernel actually reclaims the LazyFree pages.\n",
+              "page-return-off (the span scanner returns object-free pages\n"
+              "of partitions that are still live).\n",
               Shed);
 
   std::printf("\nJSON: {\"bench\":\"space\",\"lower_is_better\":true,"

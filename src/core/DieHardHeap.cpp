@@ -47,7 +47,7 @@ DieHardHeap::DieHardHeap(const DieHardOptions &Options) : Opts(Options) {
         ResolvedSeed, static_cast<uint64_t>(C) + 1, Rng::ClassStreamGamma);
     if (!Partitions[C].init(Region, ObjectSize, PartitionSize / ObjectSize,
                             Opts.M, Stream, Opts.RandomFillObjects,
-                            Opts.RandomFillOnFree)) {
+                            Opts.RandomFillOnFree, Opts.ElasticSpans)) {
       // Metadata mapping failed: render the heap invalid rather than
       // faulting on the first probe.
       Heap.unmap();
@@ -139,6 +139,7 @@ void addPartitionStats(DieHardStats &Total, const RandomizedPartition &P) {
   Total.PagesReturned += PS.PagesReturned;
   Total.PartialReturns += PS.PartialReturns;
   Total.SpansReleased += PS.SpansReleased;
+  Total.SpanGrowths += PS.SpanGrowths;
   // Push-time rejects are double/invalid frees the sidecar refused; they
   // never reach a partition's IgnoredFrees counter, so fold them here.
   Total.IgnoredFrees += P.remoteFreeRejects();
@@ -234,6 +235,13 @@ size_t DieHardHeap::bytesLive() const {
   size_t Total = LargeLiveBytes;
   for (const RandomizedPartition &P : Partitions)
     Total += P.liveBytes();
+  return Total;
+}
+
+size_t DieHardHeap::activeBytes() const {
+  size_t Total = 0;
+  for (const RandomizedPartition &P : Partitions)
+    Total += P.activeSlots() * P.objectBytes();
   return Total;
 }
 

@@ -74,6 +74,16 @@ struct DieHardOptions {
   /// reservation, so it trades the lazy-initialization space saving for
   /// maximal detection (the paper enables it only in replicated mode).
   bool RandomFillHeapOnInit = false;
+
+  /// Elastic spans, the adaptive variant of Section 9: each partition
+  /// places objects over an active span that starts at
+  /// RandomizedPartition::InitialSpanSlots and doubles whenever the 1/M
+  /// bound is reached, instead of over its whole share of the
+  /// reservation. The footprint then follows M x live rather than the
+  /// reservation; the price is that a freed slot is reused sooner, so the
+  /// protection against dangling pointers shrinks with the span. Off (the
+  /// paper's fixed-span heap) by default.
+  bool ElasticSpans = false;
 };
 
 /// Running counters describing heap behaviour; used by tests, benches, and
@@ -125,6 +135,8 @@ struct DieHardStats {
                                      ///< pages from a partition.
   uint64_t SpansReleased = 0;        ///< Contiguous page runs advised away
                                      ///< (one madvise call each).
+  uint64_t SpanGrowths = 0;          ///< Active-span doublings (elastic
+                                     ///< spans only).
 };
 
 /// Folds one partition's counters into \p Total: the PartitionStats
@@ -254,10 +266,16 @@ public:
   /// Slot capacity of size class \p Class (before applying the 1/M bound).
   size_t slotsInClass(int Class) const { return partition(Class).slots(); }
 
-  /// Maximum live objects allowed in \p Class (the 1/M threshold).
+  /// Maximum live objects the active span of \p Class allows (its 1/M
+  /// threshold; with fixed spans, the class's final bound).
   size_t thresholdForClass(int Class) const {
     return partition(Class).threshold();
   }
+
+  /// Bytes covered by the partitions' active spans: the address range
+  /// placement currently draws from. The whole small-object reservation
+  /// with fixed spans; with elastic spans, it follows M x live.
+  size_t activeBytes() const;
 
   /// Bytes currently live (rounded sizes; includes large objects).
   size_t bytesLive() const;

@@ -17,26 +17,26 @@
 
 namespace diehard {
 
-size_t claimRandomSlot(Bitmap &Bits, Rng &Rand, size_t Slots,
+size_t claimRandomSlot(Bitmap &Bits, Rng &Rand, size_t Span,
                        uint64_t &Probes, uint64_t &Fallbacks) {
-  assert(Slots != 0 && Slots == Bits.size() && "bitmap must cover the slots");
+  assert(Span != 0 && Span <= Bits.size() && "bitmap must cover the span");
   // Probe for a free slot, like probing into a hash table. Since the region
   // is at most 1/M full, the expected probe count is 1/(1 - 1/M); a bounded
   // number of random probes followed by a linear fallback guarantees
   // termination without measurably biasing placement.
   for (int Attempt = 0; Attempt < 64; ++Attempt) {
     ++Probes;
-    size_t Index = Rand.nextBounded(static_cast<uint32_t>(Slots));
+    size_t Index = Rand.nextBounded(static_cast<uint32_t>(Span));
     if (Bits.trySet(Index))
       return Index;
   }
   ++Fallbacks;
-  size_t Start = Rand.nextBounded(static_cast<uint32_t>(Slots));
-  size_t Index = Bits.findNextClear(Start);
-  if (Index == Slots)
-    Index = Bits.findNextClear(0);
-  if (Index == Slots)
-    return Slots; // Every slot taken; the 1/M threshold makes this unreachable.
+  size_t Start = Rand.nextBounded(static_cast<uint32_t>(Span));
+  size_t Index = Bits.findNextClear(Start, Span);
+  if (Index == Span)
+    Index = Bits.findNextClear(0, Span);
+  if (Index == Span)
+    return Span; // Every slot taken; the 1/M threshold makes this unreachable.
   Bits.trySet(Index);
   return Index;
 }
@@ -49,13 +49,20 @@ void randomFillWords(Rng &Rand, void *Ptr, size_t Bytes) {
 
 bool RandomizedPartition::init(void *RegionBase, size_t ObjectBytes,
                                size_t NumSlots, double M, uint64_t Seed,
-                               bool FillAllocate, bool FillFree) {
+                               bool FillAllocate, bool FillFree,
+                               bool Elastic) {
   assert(M > 1.0 && "expansion factor M must exceed 1");
   Base = static_cast<char *>(RegionBase);
   ObjectSize = ObjectBytes;
   Slots = NumSlots;
-  // The region is allowed to become at most 1/M full (Section 4.1).
-  Threshold = static_cast<size_t>(static_cast<double>(NumSlots) / M);
+  // The region is allowed to become at most 1/M full (Section 4.1); an
+  // elastic partition applies the same bound to its growing span.
+  Expansion = M;
+  Ceiling = thresholdFor(NumSlots);
+  size_t Span =
+      Elastic && NumSlots > InitialSpanSlots ? InitialSpanSlots : NumSlots;
+  ActiveSlots.store(Span, std::memory_order_relaxed);
+  Threshold.store(thresholdFor(Span), std::memory_order_relaxed);
   StreamSeed = Seed;
   FillOnAllocate = FillAllocate;
   FillOnFree = FillFree;
@@ -75,9 +82,6 @@ bool RandomizedPartition::init(void *RegionBase, size_t ObjectBytes,
   RemoteDrained.store(0, std::memory_order_relaxed);
   if (!SidecarLinks.map(NumSlots * sizeof(uint32_t)))
     return false;
-  // Link words are probed on every remote free and drain — like the bitmap,
-  // always-resident metadata worth huge-page backing under DIEHARD_THP.
-  SidecarLinks.adviseHugePages();
 
   // Page-return geometry: only pages lying entirely inside the data region
   // are ever released. Partition bases are 4K-aligned in practice, making
@@ -103,13 +107,31 @@ void RandomizedPartition::randomFill(void *Ptr, size_t Bytes) {
   randomFillWords(Rand, Ptr, Bytes);
 }
 
+bool RandomizedPartition::growSpan() {
+  size_t Span = ActiveSlots.load(std::memory_order_relaxed);
+  size_t Live = InUse.load(std::memory_order_relaxed);
+  if (Span == Slots)
+    return false;
+  // Doubling keeps the number of growths logarithmic in the live set and
+  // the cost per allocation amortized O(1). The bitmap, sidecar links and
+  // data pages of the new half already exist (the whole region was
+  // reserved at init), so growth is two stores.
+  do {
+    Span = Span > Slots / 2 ? Slots : 2 * Span;
+    ++Stats.SpanGrowths;
+  } while (Span < Slots && thresholdFor(Span) <= Live);
+  ActiveSlots.store(Span, std::memory_order_relaxed);
+  Threshold.store(thresholdFor(Span), std::memory_order_relaxed);
+  return thresholdFor(Span) > Live;
+}
+
 size_t RandomizedPartition::claimCleanSlot(uint64_t &Probes,
                                            uint64_t &Fallbacks) {
+  const size_t Span = ActiveSlots.load(std::memory_order_relaxed);
   for (;;) {
-    size_t Index =
-        claimRandomSlot(IsAllocated, Rand, Slots, Probes, Fallbacks);
-    if (Index == Slots)
-      return Index;
+    size_t Index = claimRandomSlot(IsAllocated, Rand, Span, Probes, Fallbacks);
+    if (Index == Span)
+      return Slots;
     // Reject a slot with an in-flight sidecar entry: that push is a stale
     // (double) free of the slot's previous life, and handing the slot out
     // now would let the next drain free the new occupant. Give the bit
@@ -124,8 +146,11 @@ size_t RandomizedPartition::claimCleanSlot(uint64_t &Probes,
 }
 
 void *RandomizedPartition::allocate() {
-  if (InUse.load(std::memory_order_relaxed) >= Threshold) {
-    // At threshold: the 1/M bound says no more memory for this class.
+  if (InUse.load(std::memory_order_relaxed) >=
+          Threshold.load(std::memory_order_relaxed) &&
+      !growSpan()) {
+    // At threshold with nowhere to grow: the 1/M bound says no more memory
+    // for this class.
     ++Stats.FailedAllocations;
     return nullptr;
   }
@@ -158,9 +183,9 @@ void *RandomizedPartition::allocate() {
 
 size_t RandomizedPartition::claimRandomSlots(void **Out, size_t MaxCount) {
   size_t Live = InUse.load(std::memory_order_relaxed);
-  if (Live >= Threshold)
+  if (Live >= Threshold.load(std::memory_order_relaxed) && !growSpan())
     return 0; // Saturated: no refusal counted, the caller owns that call.
-  size_t Want = Threshold - Live;
+  size_t Want = Threshold.load(std::memory_order_relaxed) - Live;
   if (Want > MaxCount)
     Want = MaxCount;
 
@@ -320,12 +345,15 @@ void RandomizedPartition::scanAndReleaseSpans(MaintainOutcome &Out) {
   auto First = reinterpret_cast<uintptr_t>(FirstPage);
   auto RegionBegin = reinterpret_cast<uintptr_t>(Base);
   size_t Pages = 0, Spans = 0;
+  // Slots past the active span were never handed out, so their pages were
+  // never touched: the scan stops at the span's end.
+  const size_t Span = ActiveSlots.load(std::memory_order_relaxed);
   size_t SlotFrom = 0;
-  while (SlotFrom < Slots) {
-    size_t RunBegin = IsAllocated.findNextClear(SlotFrom);
-    if (RunBegin == Slots)
+  while (SlotFrom < Span) {
+    size_t RunBegin = IsAllocated.findNextClear(SlotFrom, Span);
+    if (RunBegin == Span)
       break;
-    size_t RunEnd = IsAllocated.findNextSet(RunBegin);
+    size_t RunEnd = IsAllocated.findNextSet(RunBegin, Span);
     SlotFrom = RunEnd;
     // Clip the free run's byte range inward to whole pages. A page
     // overlapped by any set slot (live, cache-claimed, or sidecar-pending)

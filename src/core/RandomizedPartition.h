@@ -22,6 +22,16 @@
 /// accounting, the probe/fallback placement logic of Figure 2, and the
 /// replicated-mode random-fill behaviour for its objects.
 ///
+/// Placement covers the partition's *active span*: the first ActiveSlots
+/// slots. A fixed-span partition (the paper's design, and the default) has
+/// ActiveSlots == Slots from the start. An elastic partition — the adaptive
+/// variant Section 9 sketches — starts at InitialSpanSlots and doubles the
+/// span, under the partition lock, whenever the live count reaches
+/// ActiveSlots / M, up to the full reservation. The 1/M bound and uniform
+/// placement hold against the current span at every moment, and since the
+/// span only ever grows inside the same reservation, addresses, routing and
+/// free validation are identical in both modes.
+///
 /// Thread safety: none by itself, by design — the sharded layer wraps each
 /// partition in its own cache-line-padded lock. The live()/liveBytes()
 /// gauges are relaxed atomics so overflow routing and stats reporting may
@@ -109,27 +119,33 @@ struct PartitionStats {
   RelaxedCounter PartialReturns;    ///< maintain() scans that released pages.
   RelaxedCounter SpansReleased;     ///< Contiguous page runs advised away
                                     ///< (one madvise call each).
+  RelaxedCounter SpanGrowths;       ///< Active-span doublings (elastic
+                                    ///< partitions only).
 };
 
-/// Claims a free slot in \p Bits: up to 64 uniform random probes, then a
-/// linear fallback scan from a random start (Figure 2's termination
-/// guarantee without measurably biasing placement). The claimed bit is set
-/// before returning. \returns the slot index, or \p Slots if every bit is
-/// set. \p Probes and \p Fallbacks are incremented in place so callers can
-/// keep their own counter domains.
-size_t claimRandomSlot(Bitmap &Bits, Rng &Rand, size_t Slots,
+/// Claims a free slot among the first \p Span bits of \p Bits: up to 64
+/// uniform random probes, then a linear fallback scan from a random start
+/// (Figure 2's termination guarantee without measurably biasing
+/// placement). The claimed bit is set before returning. \returns the slot
+/// index, or \p Span if every bit of the span is set. \p Probes and
+/// \p Fallbacks are incremented in place so callers can keep their own
+/// counter domains.
+size_t claimRandomSlot(Bitmap &Bits, Rng &Rand, size_t Span,
                        uint64_t &Probes, uint64_t &Fallbacks);
 
 /// Fills \p Bytes bytes at \p Ptr from \p Rand in 32-bit units, as in
 /// Figure 2 of the paper (the replicated-mode fill; callers pass sizes
-/// already rounded to a multiple of 4). Shared by the partitions, both
-/// heaps' large-object paths, and the adaptive heap.
+/// already rounded to a multiple of 4). Shared by the partitions and the
+/// heap's large-object path.
 void randomFillWords(Rng &Rand, void *Ptr, size_t Bytes);
 
 /// One size class's randomized region: bitmap, 1/M threshold, RNG stream,
 /// and accounting. See the file comment for the design rationale.
 class RandomizedPartition {
 public:
+  /// Active span of a freshly initialized elastic partition, in slots.
+  static constexpr size_t InitialSpanSlots = 64;
+
   RandomizedPartition() = default;
   RandomizedPartition(const RandomizedPartition &) = delete;
   RandomizedPartition &operator=(const RandomizedPartition &) = delete;
@@ -138,13 +154,18 @@ public:
   /// starting at \p RegionBase, installs the 1/M threshold, and seeds the
   /// partition's RNG with \p StreamSeed (a per-class stream derived from
   /// the heap seed). \p FillOnAllocate / \p FillOnFree select the
-  /// replicated-mode random-fill behaviour (Section 3.2). \returns false if
-  /// the bitmap mapping failed, in which case the partition is unusable.
+  /// replicated-mode random-fill behaviour (Section 3.2). \p Elastic starts
+  /// the active span at InitialSpanSlots instead of the whole region.
+  /// \returns false if the bitmap mapping failed, in which case the
+  /// partition is unusable.
   bool init(void *RegionBase, size_t ObjectBytes, size_t NumSlots, double M,
-            uint64_t StreamSeed, bool FillOnAllocate, bool FillOnFree);
+            uint64_t StreamSeed, bool FillOnAllocate, bool FillOnFree,
+            bool Elastic = false);
 
-  /// Random-probe allocation of one object (Figure 2). \returns nullptr
-  /// when the partition is at its 1/M threshold.
+  /// Random-probe allocation of one object (Figure 2), uniform over the
+  /// free slots of the active span. An elastic partition at its span's 1/M
+  /// threshold doubles the span first. \returns nullptr when the partition
+  /// is at its 1/M threshold with the span already at full size.
   void *allocate();
 
   /// Batch claim for the thread-cache tier: claims up to \p MaxCount slots,
@@ -154,10 +175,12 @@ public:
   /// order. Claimed slots are counted as live immediately — they occupy
   /// bitmap bits and the InUse gauge, so the 1/M bound holds with slots
   /// sitting in caches — but are NOT counted as Allocations (the cache
-  /// layer counts the user-visible pop). \returns the number of slots
-  /// claimed: fewer than \p MaxCount when the 1/M threshold is near, 0 when
-  /// the partition is saturated (without counting a FailedAllocation — the
-  /// caller decides whether the request as a whole failed).
+  /// layer counts the user-visible pop). An elastic partition already at
+  /// its span's threshold doubles the span first, exactly as allocate()
+  /// does. \returns the number of slots claimed: fewer than \p MaxCount
+  /// when the 1/M threshold is near, 0 when the partition is saturated
+  /// (without counting a FailedAllocation — the caller decides whether the
+  /// request as a whole failed).
   size_t claimRandomSlots(void **Out, size_t MaxCount);
 
   /// Returns \p Count slots previously obtained from claimRandomSlots() and
@@ -289,9 +312,10 @@ public:
 
   /// Visits every live object as (slot index, pointer), slot ascending.
   /// The deterministic order is what the heap-differencing debugger keys
-  /// its snapshots on.
+  /// its snapshots on. Only the active span can hold live objects.
   template <typename Visitor> void forEachLive(Visitor &&Visit) const {
-    for (size_t Slot = 0; Slot < IsAllocated.size(); ++Slot)
+    const size_t Span = activeSlots();
+    for (size_t Slot = 0; Slot < Span; ++Slot)
       if (IsAllocated.test(Slot))
         Visit(Slot, static_cast<const void *>(Base + Slot * ObjectSize));
   }
@@ -305,19 +329,36 @@ public:
     return LiveBytes.load(std::memory_order_relaxed);
   }
 
-  /// Fill level relative to the 1/M threshold, in [0, 1]. 1.0 means the
-  /// partition refuses further allocations. Lock-free gauge.
+  /// Fill level relative to the active span's 1/M threshold, in [0, 1].
+  /// 1.0 means the next allocation refuses or, in an elastic partition,
+  /// grows the span. Lock-free gauge.
   double fill() const {
-    return Threshold == 0
-               ? 1.0
-               : static_cast<double>(live()) / static_cast<double>(Threshold);
+    size_t T = threshold();
+    return T == 0 ? 1.0
+                  : static_cast<double>(live()) / static_cast<double>(T);
   }
 
-  /// Slot capacity (before applying the 1/M bound).
+  /// Slot capacity of the whole region (before applying the 1/M bound).
   size_t slots() const { return Slots; }
 
-  /// Maximum live objects allowed (the 1/M threshold).
-  size_t threshold() const { return Threshold; }
+  /// Slots of the active span: where placement currently happens. Equals
+  /// slots() for a fixed-span partition. Lock-free gauge.
+  size_t activeSlots() const {
+    return ActiveSlots.load(std::memory_order_relaxed);
+  }
+
+  /// Maximum live objects the active span allows (its 1/M threshold).
+  /// Lock-free gauge.
+  size_t threshold() const {
+    return Threshold.load(std::memory_order_relaxed);
+  }
+
+  /// Maximum live objects the partition accepts, growing its span if
+  /// needed: the full region's 1/M threshold. Equals threshold() for a
+  /// fixed-span partition. Saturation pre-checks compare live() against
+  /// this, so an elastic partition below it is asked to grow rather than
+  /// skipped. Immutable after init().
+  size_t liveCeiling() const { return Ceiling; }
 
   /// The rounded object size this partition serves.
   size_t objectBytes() const { return ObjectSize; }
@@ -345,6 +386,18 @@ private:
   /// draining the sidecar so the stale entry is consumed harmlessly
   /// before the slot can be reused. \returns the slot index, or Slots.
   size_t claimCleanSlot(uint64_t &Probes, uint64_t &Fallbacks);
+
+  /// 1/M threshold of a span of \p Span slots.
+  size_t thresholdFor(size_t Span) const {
+    return static_cast<size_t>(static_cast<double>(Span) / Expansion);
+  }
+
+  /// Doubles the active span (repeatedly, if one doubling leaves the
+  /// threshold at the live count) up to the full region. Called under the
+  /// partition lock by allocate() and claimRandomSlots() when live() has
+  /// reached threshold(). \returns true if the threshold now admits one
+  /// more object; false when the span was already full.
+  bool growSpan();
 
   /// Lazily un-marks released pages the freshly claimed slot \p Index
   /// overlaps, so the next span scan can re-release them once they go
@@ -387,7 +440,13 @@ private:
   char *Base = nullptr;
   size_t ObjectSize = 0;
   size_t Slots = 0;
-  size_t Threshold = 0;
+  double Expansion = 2.0; ///< The heap expansion factor M.
+  size_t Ceiling = 0;     ///< thresholdFor(Slots).
+  /// The active span and its threshold. Written only under the partition
+  /// lock (by init() and growSpan()); relaxed atomics so the lock-free
+  /// gauges may read them.
+  std::atomic<size_t> ActiveSlots{0};
+  std::atomic<size_t> Threshold{0};
   uint64_t StreamSeed = 0;
   bool FillOnAllocate = false;
   bool FillOnFree = false;

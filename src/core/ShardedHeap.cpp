@@ -216,7 +216,8 @@ void *ShardedHeap::allocate(size_t Size) {
 
   // With routing on, a saturated home partition is a detour, not a
   // failure, so keep its FailedAllocations meaningful: skip the locked
-  // attempt when the lock-free gauge already shows the 1/M bound. A stale
+  // attempt when the lock-free gauge already shows the 1/M bound of the
+  // whole region (an elastic partition below it grows instead). A stale
   // gauge read can still let a doomed attempt through — the partition
   // re-checks under its lock and counts that refusal — so remember
   // whether home already recorded this request before counting the
@@ -224,7 +225,7 @@ void *ShardedHeap::allocate(size_t Size) {
   void *Ptr = nullptr;
   bool HomeCounted = false;
   const RandomizedPartition &HomePart = Shards[Home]->Heap.partition(Class);
-  if (!Route || HomePart.live() < HomePart.threshold() ||
+  if (!Route || HomePart.live() < HomePart.liveCeiling() ||
       HomePart.hasPendingRemoteFrees()) {
     // (A saturated gauge with sidecar entries pending still takes the
     // locked attempt: the drain inside may recover capacity.)
@@ -268,7 +269,7 @@ void *ShardedHeap::overflowProbe(uint32_t Home, int Class, size_t Size,
   // gauge already shows saturation. The gauges (and the sweeper's table)
   // are relaxed atomics, so this snapshot can be stale — harmless, because
   // the chosen partition re-checks its 1/M bound under its own lock. All
-  // shards share one threshold (same options), so the live count alone
+  // shards share one ceiling (same options), so the live count alone
   // orders fills.
   struct Candidate {
     size_t Live;
@@ -294,7 +295,7 @@ void *ShardedHeap::overflowProbe(uint32_t Home, int Class, size_t Size,
       uint64_t Pending = P.pendingRemoteFrees();
       Live = Pending < Live ? Live - static_cast<size_t>(Pending) : 0;
     }
-    if (Live < P.threshold())
+    if (Live < P.liveCeiling())
       Candidates[N++] = {Live, I};
   }
   std::sort(Candidates, Candidates + N,
@@ -330,14 +331,15 @@ ThreadCache *ShardedHeap::cacheForThread() {
 void *ShardedHeap::refillAndPop(ThreadCache &TC, int Class) {
   Shard &S = *Shards[TC.homeShard()];
   // Lock-free gauge pre-check, mirroring the locked path's: when the home
-  // partition already shows its 1/M bound, skip the doomed lock
+  // partition already shows the 1/M bound of its whole region (below it, an
+  // elastic partition grows its span under the lock), skip the doomed lock
   // round-trip — otherwise a saturated class would re-serialize every
   // same-class thread on exactly the mutex this tier exists to avoid. A
   // stale read is harmless: claimCachedSlots re-checks under the lock.
   // Pending sidecar entries override the skip: the drain below may
   // recover capacity from in-flight cross-shard frees.
   const RandomizedPartition &Part = S.Heap.partition(Class);
-  if (Part.live() >= Part.threshold() && !Part.hasPendingRemoteFrees())
+  if (Part.live() >= Part.liveCeiling() && !Part.hasPendingRemoteFrees())
     return nullptr;
   void *Batch[ThreadCache::MaxSlotsPerClass];
   size_t N;

@@ -837,23 +837,15 @@ FuzzConfig decodeFuzzConfig(const uint8_t *Data, size_t Size,
   // Small reservations on purpose: saturation, overflow routing and
   // allocation failure are part of the searched surface.
   C.HeapSize = (B0 & 32) != 0 ? (8u << 20) : (24u << 20);
-  // Bits 6-7 pick the page-return policy. Two of the four codes map to
-  // the DontNeed default so random inputs mostly exercise the production
-  // configuration and the Free / Off corners stay reachable.
-  switch (B0 >> 6) {
-  case 2:
-    C.PageReturn = PageReturnPolicy::Free;
-    break;
-  case 3:
-    C.PageReturn = PageReturnPolicy::Off;
-    break;
-  default:
-    C.PageReturn = PageReturnPolicy::DontNeed;
-    break;
-  }
+  // Bits 6-7 pick the page-return policy: code 3 is Off, every other code
+  // the DontNeed default, so random inputs mostly exercise the production
+  // configuration and the Off corner stays reachable. (Code 2 selected the
+  // retired MADV_FREE policy; it now decodes to DontNeed.)
+  C.PageReturn =
+      (B0 >> 6) == 3 ? PageReturnPolicy::Off : PageReturnPolicy::DontNeed;
   C.Workers = (B1 >> 2) & 3;
   C.SweepIntervalMs = 1 + ((B1 >> 4) & 7); // 1..8 ms epochs.
-  // B1's top bit is retired (it toggled page meshing) and ignored.
+  C.ElasticSpans = (B1 & 0x80) != 0;
   C.Seed = Rng::deriveStream(BaseSeed, 1 + B2 + 256 * B3);
   if (C.Seed == 0)
     C.Seed = 0x5EEDULL; // Zero would select true randomness.
@@ -871,6 +863,7 @@ FuzzResult runFuzzSequence(const uint8_t *Data, size_t Size,
   Opts.Heap.Seed = Cfg.Seed;
   Opts.Heap.RandomFillObjects = Cfg.RandomFill;
   Opts.Heap.RandomFillOnFree = Cfg.RandomFill;
+  Opts.Heap.ElasticSpans = Cfg.ElasticSpans;
   Opts.NumShards = Cfg.NumShards;
   Opts.OverflowRouting = Cfg.Overflow;
   Opts.ThreadCacheSlots = Cfg.ThreadCacheSlots;

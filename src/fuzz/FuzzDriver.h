@@ -77,13 +77,14 @@ struct FuzzConfig {
   size_t ThreadCacheSlots = 0; ///< 0 (tier off) or 8 (DIEHARD_TCACHE).
   bool Sweeper = false;        ///< DIEHARD_SWEEPER.
   size_t SweepIntervalMs = 2;  ///< Sweep epoch length, 1..16 ms.
-  /// DIEHARD_PAGE_RETURN for the run. Off and Free must leave every
-  /// differential check untouched: page return only ever drops pages no
-  /// live object overlaps, so the policy is pure footprint, never
-  /// placement or content.
+  /// DIEHARD_PAGE_RETURN for the run. Off must leave every differential
+  /// check untouched: page return only ever drops pages no live object
+  /// overlaps, so the policy is pure footprint, never placement or
+  /// content.
   PageReturnPolicy PageReturn = PageReturnPolicy::DontNeed;
   bool Overflow = true;        ///< DIEHARD_OVERFLOW.
   bool RandomFill = false;     ///< Replica-style object fill.
+  bool ElasticSpans = false;   ///< DieHardOptions::ElasticSpans.
   size_t HeapSize = 0;         ///< Per-shard reservation bytes.
   size_t Workers = 0;          ///< Spawned worker threads, 0..3.
   uint64_t Seed = 0;           ///< Resolved heap seed (never 0).

@@ -47,14 +47,7 @@
 ///                       clamped to >= 1); meaningless without the sweeper
 ///   DIEHARD_PAGE_RETURN how released page spans are handed back to the
 ///                       OS: "dontneed" (default; MADV_DONTNEED, RSS drops
-///                       immediately), "free" (MADV_FREE where the kernel
-///                       supports it — pages stay resident until memory
-///                       pressure, cheaper refaults; falls back to
-///                       dontneed), or "off" (never release pages).
-///   DIEHARD_THP         "1" backs the always-resident metadata mappings
-///                       (allocation bitmaps, sidecar link words) with
-///                       transparent huge pages (MADV_HUGEPAGE) to cut TLB
-///                       pressure on the fast path. Off by default.
+///                       immediately) or "off" (never release pages).
 ///   DIEHARD_STATS       "1" dumps a JSON stats line (the lock-free
 ///                       statsApprox() snapshot) at process exit to the
 ///                       process's startup stderr; any other value is
@@ -202,7 +195,7 @@ void dumpStatsAtExit() {
   if (H == nullptr || StatsFd < 0)
     return;
   diehard::DieHardStats S = H->statsApprox();
-  char Line[1024];
+  char Line[1280];
   int N = std::snprintf(
       Line, sizeof(Line),
       "{\"diehard_stats\":{\"allocations\":%llu,\"frees\":%llu,"
@@ -213,7 +206,8 @@ void dumpStatsAtExit() {
       "\"sweep_passes\":%llu,\"sweeper_drained\":%llu,"
       "\"aged_caches\":%llu,\"pages_returned\":%llu,"
       "\"partial_returns\":%llu,\"spans_released\":%llu,"
-      "\"probes\":%llu,\"realloc_rejects\":%llu}}\n",
+      "\"probes\":%llu,\"probe_fallbacks\":%llu,\"span_growths\":%llu,"
+      "\"realloc_rejects\":%llu}}\n",
       static_cast<unsigned long long>(S.Allocations),
       static_cast<unsigned long long>(S.Frees),
       static_cast<unsigned long long>(S.FailedAllocations),
@@ -233,6 +227,8 @@ void dumpStatsAtExit() {
       static_cast<unsigned long long>(S.PartialReturns),
       static_cast<unsigned long long>(S.SpansReleased),
       static_cast<unsigned long long>(S.Probes),
+      static_cast<unsigned long long>(S.ProbeFallbacks),
+      static_cast<unsigned long long>(S.SpanGrowths),
       static_cast<unsigned long long>(S.ReallocRejects));
   if (N > 0)
     (void)!::write(StatsFd, Line, static_cast<size_t>(N));

@@ -24,8 +24,9 @@ size_t Bitmap::count() const {
   return Total;
 }
 
-size_t Bitmap::findNextClear(size_t From) const {
-  for (size_t Index = From; Index < Bits; ++Index) {
+size_t Bitmap::findNextClear(size_t From, size_t Limit) const {
+  size_t End = Limit < Bits ? Limit : Bits;
+  for (size_t Index = From; Index < End; ++Index) {
     size_t WordIndex = Index / BitsPerWord;
     uint64_t Word = words()[WordIndex];
     // Skip fully-set words quickly.
@@ -36,11 +37,12 @@ size_t Bitmap::findNextClear(size_t From) const {
     if (!((Word >> (Index % BitsPerWord)) & 1))
       return Index;
   }
-  return Bits;
+  return End;
 }
 
-size_t Bitmap::findNextSet(size_t From) const {
-  for (size_t Index = From; Index < Bits; ++Index) {
+size_t Bitmap::findNextSet(size_t From, size_t Limit) const {
+  size_t End = Limit < Bits ? Limit : Bits;
+  for (size_t Index = From; Index < End; ++Index) {
     size_t WordIndex = Index / BitsPerWord;
     uint64_t Word = words()[WordIndex];
     // Skip fully-clear words quickly.
@@ -51,7 +53,7 @@ size_t Bitmap::findNextSet(size_t From) const {
     if ((Word >> (Index % BitsPerWord)) & 1)
       return Index;
   }
-  return Bits;
+  return End;
 }
 
 } // namespace diehard

@@ -61,10 +61,6 @@ public:
     size_t NumWords = (NumBits + BitsPerWord - 1) / BitsPerWord;
     if (NumWords == 0 || !Storage.map(NumWords * sizeof(uint64_t)))
       Bits = 0; // Fresh mappings are demand-zero: all bits start clear.
-    // Bitmaps are the hottest always-resident metadata (every allocate,
-    // free, and span scan walks them); under DIEHARD_THP, back them with
-    // transparent huge pages to cut TLB pressure.
-    Storage.adviseHugePages();
   }
 
   /// Clears every bit without changing the size.
@@ -107,16 +103,17 @@ public:
   /// Returns the number of set bits.
   size_t count() const;
 
-  /// Returns the index of the first clear bit at or after \p From, or
-  /// size() if every bit from \p From onward is set. Used as the fallback
-  /// linear probe when random probing is unlucky.
-  size_t findNextClear(size_t From) const;
+  /// Returns the index of the first clear bit in [\p From, \p Limit), or
+  /// min(\p Limit, size()) if every bit there is set. Used as the fallback
+  /// linear probe when random probing is unlucky; \p Limit keeps the scan
+  /// inside a partition's active span.
+  size_t findNextClear(size_t From, size_t Limit = SIZE_MAX) const;
 
-  /// Returns the index of the first set bit at or after \p From, or size()
-  /// if every bit from \p From onward is clear. Together with
+  /// Returns the index of the first set bit in [\p From, \p Limit), or
+  /// min(\p Limit, size()) if every bit there is clear. Together with
   /// findNextClear this enumerates the maximal free runs the page-return
   /// span scanner releases.
-  size_t findNextSet(size_t From) const;
+  size_t findNextSet(size_t From, size_t Limit = SIZE_MAX) const;
 
 private:
   static constexpr size_t BitsPerWord = 64;

@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -82,29 +81,16 @@ namespace {
 /// answer.
 std::atomic<int> PolicyState{-1};
 
-/// Whether madvise(MADV_FREE) works here: 0 = untried, 1 = works,
-/// 2 = refused (pre-4.5 kernel, or no MADV_FREE at compile time) — fall
-/// back to MADV_DONTNEED forever after.
-std::atomic<int> LazyFreeState{0};
-
-/// DIEHARD_THP: -1 = unresolved, 0 = off, 1 = back metadata mappings with
-/// transparent huge pages.
-std::atomic<int> ThpState{-1};
-
 } // namespace
 
 PageReturnPolicy MmapRegion::pageReturnPolicy() {
   int State = PolicyState.load(std::memory_order_relaxed);
   if (State < 0) {
     const char *V = std::getenv("DIEHARD_PAGE_RETURN");
-    PageReturnPolicy P = PageReturnPolicy::DontNeed;
-    if (V != nullptr) {
-      if (std::strcmp(V, "free") == 0)
-        P = PageReturnPolicy::Free;
-      else if (std::strcmp(V, "off") == 0 || std::strcmp(V, "0") == 0)
-        P = PageReturnPolicy::Off;
-    }
-    State = static_cast<int>(P);
+    bool Off = V != nullptr &&
+               (std::strcmp(V, "off") == 0 || std::strcmp(V, "0") == 0);
+    State = static_cast<int>(Off ? PageReturnPolicy::Off
+                                 : PageReturnPolicy::DontNeed);
     PolicyState.store(State, std::memory_order_relaxed);
   }
   return static_cast<PageReturnPolicy>(State);
@@ -114,61 +100,15 @@ void MmapRegion::setPageReturnPolicy(PageReturnPolicy Policy) {
   PolicyState.store(static_cast<int>(Policy), std::memory_order_relaxed);
 }
 
-bool MmapRegion::lazyFreeWorks() {
-  return LazyFreeState.load(std::memory_order_relaxed) == 1;
-}
-
 size_t MmapRegion::releasePageRange(void *PageBegin, size_t PageBytes) {
   assert(reinterpret_cast<uintptr_t>(PageBegin) % pageSize() == 0 &&
          PageBytes % pageSize() == 0 && "range must be exactly page-aligned");
   if (PageBytes == 0)
     return 0;
-  PageReturnPolicy Policy = pageReturnPolicy();
-  if (Policy == PageReturnPolicy::Off)
-    return 0;
-#ifdef MADV_FREE
-  if (Policy == PageReturnPolicy::Free &&
-      LazyFreeState.load(std::memory_order_relaxed) != 2) {
-    if (::madvise(PageBegin, PageBytes, MADV_FREE) == 0) {
-      LazyFreeState.store(1, std::memory_order_relaxed);
-      return PageBytes;
-    }
-    if (errno != EINVAL)
-      return 0; // Transient refusal (e.g. locked pages): advise nothing.
-    // EINVAL: the kernel predates MADV_FREE. Remember and fall through.
-    LazyFreeState.store(2, std::memory_order_relaxed);
-  }
-#else
-  if (Policy == PageReturnPolicy::Free)
-    LazyFreeState.store(2, std::memory_order_relaxed);
-#endif
-  if (::madvise(PageBegin, PageBytes, MADV_DONTNEED) != 0)
+  if (pageReturnPolicy() == PageReturnPolicy::Off ||
+      ::madvise(PageBegin, PageBytes, MADV_DONTNEED) != 0)
     return 0;
   return PageBytes;
-}
-
-bool MmapRegion::hugePageMetadata() {
-  int State = ThpState.load(std::memory_order_relaxed);
-  if (State < 0) {
-    const char *V = std::getenv("DIEHARD_THP");
-    State = (V != nullptr && V[0] == '1' && V[1] == '\0') ? 1 : 0;
-    ThpState.store(State, std::memory_order_relaxed);
-  }
-  return State == 1;
-}
-
-void MmapRegion::setHugePageMetadata(bool On) {
-  ThpState.store(On ? 1 : 0, std::memory_order_relaxed);
-}
-
-void MmapRegion::adviseHugePages() const {
-  if (Base == nullptr || !hugePageMetadata())
-    return;
-#ifdef MADV_HUGEPAGE
-  // Best effort: THP may be disabled system-wide (EINVAL) — the mapping
-  // works identically either way, just with 4 KB TLB entries.
-  (void)::madvise(Base, Size, MADV_HUGEPAGE);
-#endif
 }
 
 size_t MmapRegion::pageSize() {

@@ -6,14 +6,17 @@
 ///
 /// \file
 /// Tests for the randomized DieHard heap: placement, 1/M thresholds,
-/// free validation, and per-seed determinism.
+/// free validation, per-seed determinism, and elastic spans (the Section 9
+/// adaptive variant).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/DieHardHeap.h"
 
 #include "analysis/Probability.h"
+#include "baselines/DieHardAllocator.h"
 #include "support/Rng.h"
+#include "workloads/SyntheticWorkload.h"
 
 #include <gtest/gtest.h>
 
@@ -438,6 +441,226 @@ TEST_P(PerClassBehaviour, AllocWriteFreeAcrossClass) {
 
 INSTANTIATE_TEST_SUITE_P(AllClasses, PerClassBehaviour,
                          ::testing::Range(0, SizeClass::NumClasses));
+
+//===----------------------------------------------------------------------===//
+// Elastic spans
+//===----------------------------------------------------------------------===//
+
+DieHardOptions elasticOptions(double M = 2.0, uint64_t Seed = 7) {
+  DieHardOptions O = testOptions(M, Seed);
+  O.ElasticSpans = true;
+  return O;
+}
+
+/// True if every class holds at most floor(activeSlots / M) live objects.
+bool boundHolds(const DieHardHeap &H, double M) {
+  for (int C = 0; C < SizeClass::NumClasses; ++C) {
+    const RandomizedPartition &P = H.partition(C);
+    if (P.live() > static_cast<size_t>(
+                       static_cast<double>(P.activeSlots()) / M))
+      return false;
+  }
+  return true;
+}
+
+TEST(DieHardHeapTest, ElasticSpansStartAtTheInitialSpan) {
+  DieHardHeap Fixed(testOptions());
+  EXPECT_EQ(Fixed.activeBytes(), Fixed.heapBytes());
+
+  DieHardHeap H(elasticOptions());
+  ASSERT_TRUE(H.isValid());
+  EXPECT_EQ(H.heapBytes(), Fixed.heapBytes()) << "same reservation";
+  size_t Expected = 0;
+  for (int C = 0; C < SizeClass::NumClasses; ++C) {
+    EXPECT_EQ(H.partition(C).activeSlots(),
+              RandomizedPartition::InitialSpanSlots);
+    EXPECT_EQ(H.liveInClass(C), 0u);
+    Expected += RandomizedPartition::InitialSpanSlots *
+                SizeClass::classToSize(C);
+  }
+  EXPECT_EQ(H.activeBytes(), Expected);
+}
+
+TEST(DieHardHeapTest, ElasticFirstAllocationLandsInTheInitialSpan) {
+  // The first object lands inside its class's initial span, no growth.
+  DieHardHeap H(elasticOptions());
+  int C = SizeClass::sizeToClass(64);
+  void *P = H.allocate(64);
+  ASSERT_NE(P, nullptr);
+  auto Offset = static_cast<size_t>(
+      static_cast<const char *>(P) -
+      static_cast<const char *>(H.partition(C).base()));
+  EXPECT_LT(Offset, RandomizedPartition::InitialSpanSlots * 64);
+  EXPECT_EQ(H.stats().SpanGrowths, 0u);
+  H.deallocate(P);
+}
+
+TEST(DieHardHeapTest, ElasticGrowthKeepsObjectsInPlace) {
+  // Growth only widens the span inside the same reservation: live objects
+  // never move, and their contents survive every doubling.
+  DieHardHeap H(elasticOptions(2.0, 5));
+  std::vector<std::pair<unsigned char *, int>> Objects;
+  for (int I = 0; I < 200; ++I) {
+    auto *P = static_cast<unsigned char *>(H.allocate(256));
+    ASSERT_NE(P, nullptr);
+    std::memset(P, I & 0xFF, 256);
+    Objects.push_back({P, I & 0xFF});
+  }
+  int C = SizeClass::sizeToClass(256);
+  EXPECT_EQ(H.partition(C).activeSlots(), 512u) << "64 -> 128 -> 256 -> 512";
+  DieHardStats S = H.stats();
+  EXPECT_EQ(S.SpanGrowths, 3u) << "growths fold into the heap stats";
+  EXPECT_EQ(S.FailedAllocations, 0u);
+  for (auto &[P, Tag] : Objects)
+    for (int B = 0; B < 256; ++B)
+      ASSERT_EQ(P[B], Tag);
+  for (auto &[P, Tag] : Objects)
+    H.deallocate(P);
+  EXPECT_EQ(H.bytesLive(), 0u);
+}
+
+TEST(DieHardHeapTest, ElasticSpanValidatesFrees) {
+  DieHardHeap H(elasticOptions());
+  void *P = H.allocate(32);
+  ASSERT_NE(P, nullptr);
+  H.deallocate(P);
+  H.deallocate(P); // Double free.
+  int Stack;
+  H.deallocate(&Stack); // Foreign pointer.
+  auto *Q = static_cast<char *>(H.allocate(1024));
+  ASSERT_NE(Q, nullptr);
+  H.deallocate(Q + 8); // Misaligned interior pointer.
+  // A slot-aligned address past the active span was never handed out.
+  int C = SizeClass::sizeToClass(1024);
+  char *Beyond =
+      static_cast<char *>(const_cast<void *>(H.partition(C).base())) +
+      100 * 1024;
+  H.deallocate(Beyond);
+  EXPECT_EQ(H.stats().IgnoredFrees, 4u);
+  EXPECT_EQ(H.getObjectSize(Q), 1024u);
+  H.deallocate(Q);
+  EXPECT_EQ(H.bytesLive(), 0u);
+}
+
+TEST(DieHardHeapTest, ElasticObjectQueriesWork) {
+  DieHardHeap H(elasticOptions());
+  auto *P = static_cast<char *>(H.allocate(100));
+  ASSERT_NE(P, nullptr);
+  EXPECT_EQ(H.getObjectSize(P), 128u);
+  EXPECT_EQ(H.getObjectStart(P + 77), P);
+  // A slot past the active span answers like a free slot.
+  int C = SizeClass::sizeToClass(128);
+  char *Beyond =
+      static_cast<char *>(const_cast<void *>(H.partition(C).base())) +
+      100 * 128;
+  EXPECT_EQ(H.getObjectSize(Beyond), 0u);
+  EXPECT_EQ(H.getObjectStart(Beyond), nullptr);
+  H.deallocate(P);
+  EXPECT_EQ(H.getObjectSize(P), 0u);
+  EXPECT_EQ(H.getObjectStart(P), nullptr);
+}
+
+TEST(DieHardHeapTest, ElasticBoundHoldsUnderChurn) {
+  DieHardHeap H(elasticOptions(4.0, 9));
+  Rng Rand(1);
+  std::vector<void *> Live;
+  for (int Step = 0; Step < 20000; ++Step) {
+    if (Live.empty() || (Rand.next() & 1)) {
+      void *P = H.allocate(1 + Rand.nextBounded(1024));
+      ASSERT_NE(P, nullptr) << "step " << Step;
+      Live.push_back(P);
+    } else {
+      size_t I = Rand.nextBounded(static_cast<uint32_t>(Live.size()));
+      H.deallocate(Live[I]);
+      Live[I] = Live.back();
+      Live.pop_back();
+    }
+    ASSERT_TRUE(boundHolds(H, 4.0)) << "step " << Step;
+  }
+  EXPECT_GT(H.stats().SpanGrowths, 0u);
+  for (void *P : Live)
+    H.deallocate(P);
+  EXPECT_EQ(H.bytesLive(), 0u);
+}
+
+TEST(DieHardHeapTest, ElasticActiveBytesTrackDemand) {
+  // The adaptive variant's point: a small live set places objects over a
+  // span proportional to its demand, not over the whole reservation.
+  DieHardAllocator A(elasticOptions(2.0, 11));
+  WorkloadParams P;
+  P.Name = "small";
+  P.MemoryOps = 20000;
+  P.MinSize = 8;
+  P.MaxSize = 256;
+  P.MaxLive = 200;
+  P.Seed = 12;
+  SyntheticWorkload W(P);
+  WorkloadResult R = W.run(A);
+  EXPECT_EQ(R.FailedAllocations, 0u);
+  EXPECT_LT(A.heap().activeBytes(), size_t(4) << 20)
+      << "a 200-object live set must not spread over many megabytes";
+  EXPECT_GT(A.heap().stats().SpanGrowths, 0u);
+}
+
+TEST(DieHardHeapTest, ElasticChecksumMatchesFixedHeap) {
+  WorkloadParams P;
+  P.Name = "check";
+  P.MemoryOps = 30000;
+  P.MinSize = 8;
+  P.MaxSize = 2048;
+  P.MaxLive = 1000;
+  P.Seed = 5;
+  SyntheticWorkload W(P);
+  DieHardAllocator Elastic(elasticOptions(2.0, 21));
+  DieHardAllocator Fixed(testOptions(2.0, 21));
+  SystemAllocator System;
+  uint64_t Expected = W.run(System).Checksum;
+  EXPECT_EQ(W.run(Elastic).Checksum, Expected);
+  EXPECT_EQ(W.run(Fixed).Checksum, Expected);
+}
+
+TEST(DieHardHeapTest, ElasticRandomFillCoversGrownSpan) {
+  DieHardOptions O = elasticOptions();
+  O.RandomFillObjects = true;
+  DieHardHeap H(O);
+  std::vector<void *> Held;
+  for (int I = 0; I < 100; ++I) // Past the first growth of the class.
+    Held.push_back(H.allocate(256));
+  ASSERT_GT(H.stats().SpanGrowths, 0u);
+  auto *P = static_cast<uint32_t *>(Held.back());
+  ASSERT_NE(P, nullptr);
+  int NonZero = 0;
+  for (int I = 0; I < 64; ++I)
+    NonZero += P[I] != 0 ? 1 : 0;
+  EXPECT_GT(NonZero, 50);
+  for (void *Ptr : Held)
+    H.deallocate(Ptr);
+}
+
+/// Property sweep over M: an elastic class keeps live <= activeSlots / M
+/// after every allocation while it grows.
+class ElasticExpansionSweep : public ::testing::TestWithParam<double> {};
+
+TEST_P(ElasticExpansionSweep, BoundRespectedWhileGrowing) {
+  double M = GetParam();
+  DieHardHeap H(elasticOptions(M, 31));
+  int C = SizeClass::sizeToClass(64);
+  std::vector<void *> Held;
+  for (int I = 0; I < 500; ++I) {
+    void *P = H.allocate(64);
+    ASSERT_NE(P, nullptr);
+    Held.push_back(P);
+    ASSERT_LE(static_cast<double>(H.liveInClass(C)),
+              static_cast<double>(H.partition(C).activeSlots()) / M + 1e-9)
+        << "allocation " << I;
+  }
+  EXPECT_GT(H.stats().SpanGrowths, 0u);
+  for (void *P : Held)
+    H.deallocate(P);
+}
+
+INSTANTIATE_TEST_SUITE_P(Factors, ElasticExpansionSweep,
+                         ::testing::Values(1.5, 2.0, 3.0, 4.0, 8.0));
 
 } // namespace
 } // namespace diehard

@@ -7,8 +7,8 @@
 /// \file
 /// Direct tests for the per-size-class RandomizedPartition: geometry and
 /// threshold installation, the probe/fallback discipline, free validation,
-/// lock-free gauges, stream derivation, and the deterministic live-object
-/// walk the heap-differencing debugger depends on.
+/// lock-free gauges, stream derivation, the deterministic live-object walk
+/// the heap-differencing debugger depends on, and the elastic active span.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,10 +34,17 @@ struct PartitionFixture {
 
   PartitionFixture(size_t ObjectSize, size_t Slots, double M = 2.0,
                    uint64_t Seed = 42, bool FillOnAllocate = false,
-                   bool FillOnFree = false) {
+                   bool FillOnFree = false, bool Elastic = false) {
     EXPECT_TRUE(Region.map(ObjectSize * Slots));
     EXPECT_TRUE(Partition.init(Region.base(), ObjectSize, Slots, M, Seed,
-                               FillOnAllocate, FillOnFree));
+                               FillOnAllocate, FillOnFree, Elastic));
+  }
+
+  /// Slot index of \p Ptr.
+  size_t slotOf(const void *Ptr) const {
+    return static_cast<size_t>(static_cast<const char *>(Ptr) -
+                               static_cast<const char *>(Partition.base())) /
+           Partition.objectBytes();
   }
 };
 
@@ -603,6 +610,134 @@ TEST(RandomizedPartitionTest, ClaimedSlotsPinTheirPages) {
   EXPECT_EQ(Out.PagesReturned, 4u)
       << "reclaimed slots free their pages for the next scan";
   EXPECT_EQ(F.Partition.releasedPages(), 16u);
+}
+
+//===----------------------------------------------------------------------===//
+// Elastic active span
+//===----------------------------------------------------------------------===//
+
+/// A 64-byte, 4096-slot elastic partition: initial span 64, ceiling 2048.
+PartitionFixture elasticFixture(double M = 2.0, uint64_t Seed = 42) {
+  return PartitionFixture(64, 4096, M, Seed, false, false, /*Elastic=*/true);
+}
+
+TEST(RandomizedPartitionTest, FixedSpanCoversTheWholeRegion) {
+  PartitionFixture F(64, 4096);
+  EXPECT_EQ(F.Partition.activeSlots(), 4096u);
+  EXPECT_EQ(F.Partition.liveCeiling(), F.Partition.threshold());
+}
+
+TEST(RandomizedPartitionTest, ElasticSpanDoublesAtTheBound) {
+  PartitionFixture F(64, 4096, 2.0, 42, false, false, /*Elastic=*/true);
+  const RandomizedPartition &P = F.Partition;
+  EXPECT_EQ(P.activeSlots(), RandomizedPartition::InitialSpanSlots);
+  EXPECT_EQ(P.threshold(), 32u);
+  EXPECT_EQ(P.liveCeiling(), 2048u) << "the whole region's 1/M bound";
+
+  // The first 32 objects fit the initial span; the 33rd doubles it.
+  std::vector<void *> Held;
+  for (int I = 0; I < 32; ++I) {
+    Held.push_back(F.Partition.allocate());
+    ASSERT_NE(Held.back(), nullptr);
+    EXPECT_LT(F.slotOf(Held.back()), 64u) << "placed outside the span";
+  }
+  EXPECT_EQ(P.stats().SpanGrowths, 0u);
+  Held.push_back(F.Partition.allocate());
+  ASSERT_NE(Held.back(), nullptr);
+  EXPECT_EQ(P.activeSlots(), 128u);
+  EXPECT_EQ(P.threshold(), 64u);
+  EXPECT_EQ(P.stats().SpanGrowths, 1u);
+
+  // Loading to the ceiling doubles 64 -> 4096 (six growths), the bound
+  // holding against the current span after every allocation.
+  while (P.live() < P.liveCeiling()) {
+    void *Ptr = F.Partition.allocate();
+    ASSERT_NE(Ptr, nullptr) << "live " << P.live();
+    EXPECT_LT(F.slotOf(Ptr), P.activeSlots());
+    ASSERT_LE(P.live(), P.activeSlots() / 2);
+  }
+  EXPECT_EQ(P.activeSlots(), 4096u);
+  EXPECT_EQ(P.stats().SpanGrowths, 6u);
+  // A full-size span at its bound refuses, exactly like a fixed one.
+  EXPECT_EQ(F.Partition.allocate(), nullptr);
+  EXPECT_EQ(P.stats().FailedAllocations, 1u);
+  EXPECT_EQ(P.stats().SpanGrowths, 6u);
+}
+
+TEST(RandomizedPartitionTest, ElasticBatchClaimGrowsTheSpan) {
+  PartitionFixture F = elasticFixture();
+  void *Batch[32];
+  // A refill clips at the current span's threshold...
+  EXPECT_EQ(F.Partition.claimRandomSlots(Batch, 32), 32u);
+  for (void *Ptr : Batch)
+    EXPECT_LT(F.slotOf(Ptr), 64u);
+  EXPECT_EQ(F.Partition.activeSlots(), 64u);
+  // ...and a refill arriving at that threshold grows the span first.
+  void *More[32];
+  EXPECT_EQ(F.Partition.claimRandomSlots(More, 32), 32u);
+  EXPECT_EQ(F.Partition.activeSlots(), 128u);
+  EXPECT_EQ(F.Partition.live(), 64u) << "claimed slots count as live";
+  EXPECT_EQ(F.Partition.stats().SpanGrowths, 1u);
+  EXPECT_EQ(F.Partition.stats().FailedAllocations, 0u);
+  F.Partition.reclaimSlots(Batch, 32);
+  F.Partition.reclaimSlots(More, 32);
+  EXPECT_EQ(F.Partition.live(), 0u);
+  EXPECT_EQ(F.Partition.activeSlots(), 128u) << "spans never shrink";
+}
+
+TEST(RandomizedPartitionTest, ElasticPlacementIsUniformAfterGrowth) {
+  // After a growth, each allocation must be uniform over the free slots
+  // of the *current* span: hold 33 objects (the 33rd doubled the span to
+  // 128 slots), then allocate-and-free one object many times and
+  // chi-square its slot over the 95 free slots.
+  PartitionFixture F = elasticFixture(2.0, 0xE1A5);
+  std::vector<void *> Held;
+  for (int I = 0; I < 33; ++I)
+    Held.push_back(F.Partition.allocate());
+  ASSERT_EQ(F.Partition.activeSlots(), 128u);
+  std::vector<bool> Taken(128, false);
+  for (void *Ptr : Held)
+    Taken[F.slotOf(Ptr)] = true;
+
+  constexpr int Rounds = 9500;
+  std::vector<uint64_t> Histogram(128, 0);
+  for (int R = 0; R < Rounds; ++R) {
+    void *Ptr = F.Partition.allocate();
+    ASSERT_NE(Ptr, nullptr);
+    size_t Slot = F.slotOf(Ptr);
+    ASSERT_LT(Slot, 128u) << "placed outside the span";
+    ASSERT_FALSE(Taken[Slot]) << "placed on a live slot";
+    ++Histogram[Slot];
+    F.Partition.deallocate(Ptr);
+  }
+  EXPECT_EQ(F.Partition.activeSlots(), 128u);
+  double Expected = Rounds / 95.0;
+  double Chi2 = 0.0;
+  for (size_t Slot = 0; Slot < 128; ++Slot) {
+    if (Taken[Slot])
+      continue;
+    double D = static_cast<double>(Histogram[Slot]) - Expected;
+    Chi2 += D * D / Expected;
+  }
+  // df = 94, alpha = 0.001 critical value 142.1; fixed seed, so the
+  // statistic is deterministic.
+  EXPECT_LT(Chi2, 142.1);
+  EXPECT_GT(Chi2, 0.0);
+}
+
+TEST(RandomizedPartitionTest, SpanScannerStopsAtTheActiveSpan) {
+  // Pages past the active span were never handed out: the scanner must
+  // neither walk nor release them.
+  PolicyGuard Guard(PageReturnPolicy::DontNeed);
+  const size_t Page = MmapRegion::pageSize();
+  PartitionFixture F(Page, 256, 2.0, 42, false, false, /*Elastic=*/true);
+  ASSERT_EQ(F.Partition.activeSlots(), 64u);
+  void *P = F.Partition.allocate();
+  ASSERT_NE(P, nullptr);
+  ASSERT_TRUE(F.Partition.deallocate(P));
+  RandomizedPartition::MaintainOutcome Out = F.Partition.maintain();
+  EXPECT_EQ(Out.PagesReturned, 64u) << "only the active span's pages";
+  EXPECT_EQ(F.Partition.releasedPages(), 64u);
 }
 
 } // namespace

@@ -8,7 +8,8 @@
 /// Tests for the sharded heap layer: single-shard equivalence with a lone
 /// DieHardHeap, cross-thread frees routed to the owning shard, thread churn
 /// beyond the shard count, per-partition lock concurrency, overflow routing
-/// to sibling shards, stats aggregation, and the shared large-object path.
+/// to sibling shards, stats aggregation, the shared large-object path, and
+/// elastic spans under the sharded and cached layers.
 /// The multithreaded cases double as the TSan/ASan workload for the
 /// sanitizer CI lanes.
 ///
@@ -18,10 +19,12 @@
 
 #include "core/HeapAdapter.h"
 #include "core/SizeClass.h"
+#include "support/Rng.h"
 #include "workloads/SyntheticWorkload.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -642,6 +645,195 @@ TEST(ShardedHeapTest, ConcurrentMixedStress) {
   EXPECT_EQ(S.LargeAllocations, S.LargeFrees);
   EXPECT_EQ(H.bytesLive(), 0u);
   EXPECT_EQ(H.liveLargeObjects(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Elastic spans
+//===----------------------------------------------------------------------===//
+
+ShardedHeapOptions elasticOptions(size_t NumShards, size_t CacheSlots,
+                                  uint64_t Seed = 42) {
+  ShardedHeapOptions O = smallOptions(NumShards, Seed);
+  O.Heap.ElasticSpans = true;
+  O.ThreadCacheSlots = CacheSlots;
+  return O;
+}
+
+/// True if every partition of every shard holds at most
+/// floor(activeSlots / M) live objects (claimed and pending slots count).
+bool elasticBoundHolds(const ShardedHeap &H) {
+  double M = H.options().Heap.M;
+  for (size_t S = 0; S < H.numShards(); ++S)
+    for (int C = 0; C < DieHardHeap::NumPartitions; ++C) {
+      const RandomizedPartition &P = H.shard(S).partition(C);
+      if (P.live() > static_cast<size_t>(
+                         static_cast<double>(P.activeSlots()) / M))
+        return false;
+    }
+  return true;
+}
+
+TEST(ShardedHeapTest, ElasticHomePartitionGrowsInsteadOfOverflowing) {
+  // The routing gate asks whether the home partition can still accept,
+  // growing if needed: an elastic home below its ceiling must grow, not
+  // detour to a sibling the moment its current span is at 1/M.
+  ShardedHeap H(elasticOptions(2, /*CacheSlots=*/0));
+  ASSERT_TRUE(H.isValid());
+  int C = SizeClass::sizeToClass(64);
+  size_t Home = H.homeShardIndex();
+  std::vector<void *> Held;
+  for (int I = 0; I < 300; ++I) {
+    void *P = H.allocate(64);
+    ASSERT_NE(P, nullptr);
+    EXPECT_EQ(H.shardIndexOf(P), Home) << "allocation " << I;
+    Held.push_back(P);
+  }
+  EXPECT_EQ(H.overflowAllocations(), 0u);
+  EXPECT_EQ(H.shard(Home).partition(C).activeSlots(), 1024u);
+  EXPECT_EQ(H.stats().SpanGrowths, 4u);
+  for (void *P : Held)
+    H.deallocate(P);
+  EXPECT_EQ(H.bytesLive(), 0u);
+}
+
+TEST(ShardedHeapTest, ElasticCachedBoundHoldsAfterEveryOperation) {
+  // With the thread cache on, claimed slots count toward live: the 1/M
+  // bound against the current span must hold after every operation, and
+  // refills must keep growing the span rather than failing.
+  ShardedHeap H(elasticOptions(2, /*CacheSlots=*/8, 0xCAC4E));
+  ASSERT_TRUE(H.isValid());
+  Rng Rand(3);
+  std::vector<void *> Live;
+  bool SawCachedSlots = false;
+  for (int Step = 0; Step < 20000; ++Step) {
+    if (Live.size() < 2000 && (Live.empty() || Rand.nextBounded(5) < 3)) {
+      void *P = H.allocate(1 + Rand.nextBounded(512));
+      ASSERT_NE(P, nullptr) << "step " << Step;
+      Live.push_back(P);
+    } else {
+      size_t I = Rand.nextBounded(static_cast<uint32_t>(Live.size()));
+      H.deallocate(Live[I]);
+      Live[I] = Live.back();
+      Live.pop_back();
+    }
+    ASSERT_TRUE(elasticBoundHolds(H)) << "step " << Step;
+    SawCachedSlots = SawCachedSlots || H.cachedSlots() > 0;
+  }
+  EXPECT_TRUE(SawCachedSlots);
+  EXPECT_GT(H.stats().SpanGrowths, 0u);
+  EXPECT_EQ(H.stats().FailedAllocations, 0u);
+  for (void *P : Live)
+    H.deallocate(P);
+  H.flushThreadCache();
+  EXPECT_TRUE(elasticBoundHolds(H));
+  DieHardStats S = H.stats();
+  EXPECT_EQ(S.Allocations, S.Frees);
+  EXPECT_EQ(S.IgnoredFrees, 0u);
+}
+
+TEST(ShardedHeapTest, ElasticGrowthAcrossClassesRunsConcurrently) {
+  // Growth happens one partition at a time under that partition's lock:
+  // four threads repeatedly force growth in four different classes of one
+  // shard, which must neither corrupt each other's objects nor serialize
+  // through shared state (TSan checks the latter in the sanitizer lanes).
+  ShardedHeap H(elasticOptions(1, /*CacheSlots=*/0, 13));
+  ASSERT_TRUE(H.isValid());
+  constexpr int Threads = 4;
+  constexpr int PerThread = 600; // 64 initial slots -> five doublings.
+  std::atomic<int> Failures{0};
+  std::vector<std::thread> Workers;
+  for (int T = 0; T < Threads; ++T)
+    Workers.emplace_back([&H, &Failures, T] {
+      size_t Size = SizeClass::classToSize(T + 1); // 16 B .. 128 B
+      auto Tag = static_cast<unsigned char>(0x40 + T);
+      std::vector<unsigned char *> Mine;
+      for (int I = 0; I < PerThread; ++I) {
+        auto *P = static_cast<unsigned char *>(H.allocate(Size));
+        if (P == nullptr) {
+          ++Failures;
+          return;
+        }
+        std::memset(P, Tag, Size);
+        Mine.push_back(P);
+      }
+      for (unsigned char *P : Mine) {
+        for (size_t B = 0; B < Size; ++B)
+          if (P[B] != Tag) {
+            ++Failures;
+            return;
+          }
+        H.deallocate(P);
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+
+  EXPECT_EQ(Failures.load(), 0);
+  DieHardStats S = H.stats();
+  EXPECT_EQ(S.Allocations, static_cast<uint64_t>(Threads) * PerThread);
+  EXPECT_EQ(S.Frees, S.Allocations);
+  EXPECT_EQ(S.SpanGrowths, static_cast<uint64_t>(Threads) * 5)
+      << "every driven class must have grown 64 -> 2048";
+  for (int T = 0; T < Threads; ++T)
+    EXPECT_EQ(H.shard(0).liveInClass(T + 1), 0u);
+}
+
+TEST(ShardedHeapTest, ElasticSameClassConcurrentChurnKeepsAccounting) {
+  // The other contention shape: several threads in *one* class, so every
+  // operation, growth included, serializes on that partition's lock. The
+  // 1/M bound and the counters must hold throughout.
+  ShardedHeap H(elasticOptions(1, /*CacheSlots=*/0, 17));
+  ASSERT_TRUE(H.isValid());
+  constexpr int Threads = 4;
+  int C = SizeClass::sizeToClass(64);
+  const RandomizedPartition &Part = H.shard(0).partition(C);
+  std::atomic<int> Failures{0};
+  std::atomic<int> InvariantViolations{0};
+  std::vector<std::thread> Workers;
+  for (int T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      unsigned State = static_cast<unsigned>(T) * 2654435761u + 1;
+      std::vector<void *> Live;
+      for (int Step = 0; Step < 1500; ++Step) {
+        State = State * 1664525u + 1013904223u;
+        // Two allocations per free on average (the LCG's high bits; its
+        // low bit merely alternates), so the class keeps growing.
+        if ((State >> 16) % 3 != 0 || Live.empty()) {
+          void *P = H.allocate(64);
+          if (P == nullptr) {
+            ++Failures;
+            return;
+          }
+          Live.push_back(P);
+        } else {
+          H.deallocate(Live.back());
+          Live.pop_back();
+        }
+        if (Step % 100 == 0) {
+          // Sample the bound while the class is under load. The live
+          // count and the span are independent relaxed atomics, so a
+          // sampler can pair a newer live count with an older span; a
+          // slack of one in-flight allocation per thread absorbs that.
+          size_t LiveNow = Part.live();
+          size_t SpanNow = Part.activeSlots();
+          if (LiveNow > SpanNow / 2 + Threads)
+            ++InvariantViolations;
+        }
+      }
+      for (void *P : Live)
+        H.deallocate(P);
+    });
+  for (std::thread &W : Workers)
+    W.join();
+
+  EXPECT_EQ(Failures.load(), 0);
+  EXPECT_EQ(InvariantViolations.load(), 0)
+      << "live count exceeded activeSlots/M while the class was under load";
+  DieHardStats S = H.stats();
+  EXPECT_EQ(S.Allocations, S.Frees);
+  EXPECT_EQ(S.IgnoredFrees, 0u);
+  EXPECT_GT(S.SpanGrowths, 0u);
+  EXPECT_EQ(Part.live(), 0u);
 }
 
 } // namespace

@@ -11,9 +11,9 @@
 /// configuration, injected error classes, reference-model checks, forced
 /// quiescence audit — and must come back clean. The corpus is curated for
 /// coverage (tools/fuzz_replay --emit), so the suite also asserts the
-/// aggregate exercises all five injected error classes and both the cached
-/// and uncached configurations; a corpus refresh that loses coverage fails
-/// here, not silently in the nightly job.
+/// aggregate exercises all five injected error classes, both the cached
+/// and uncached configurations, and both span modes; a corpus refresh that
+/// loses coverage fails here, not silently in the nightly job.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,7 +77,7 @@ TEST(FuzzCorpusTest, EveryCommittedInputReplaysClean) {
   uint64_t TotalOps = 0;
   bool SawCached = false, SawUncached = false, SawMultiShard = false;
   bool SawWorkers = false;
-  bool SawPageReturnFree = false, SawPageReturnOff = false;
+  bool SawPageReturnOff = false, SawElastic = false, SawFixed = false;
 
   for (const std::string &Path : Files) {
     std::vector<uint8_t> Bytes = readFile(Path);
@@ -90,8 +90,7 @@ TEST(FuzzCorpusTest, EveryCommittedInputReplaysClean) {
     (R.Config.ThreadCacheSlots != 0 ? SawCached : SawUncached) = true;
     SawMultiShard = SawMultiShard || R.Config.NumShards > 1;
     SawWorkers = SawWorkers || R.Config.Workers > 0;
-    SawPageReturnFree =
-        SawPageReturnFree || R.Config.PageReturn == PageReturnPolicy::Free;
+    (R.Config.ElasticSpans ? SawElastic : SawFixed) = true;
     SawPageReturnOff =
         SawPageReturnOff || R.Config.PageReturn == PageReturnPolicy::Off;
   }
@@ -105,8 +104,8 @@ TEST(FuzzCorpusTest, EveryCommittedInputReplaysClean) {
   EXPECT_TRUE(SawUncached) << "corpus never runs the locked paths";
   EXPECT_TRUE(SawMultiShard) << "corpus never runs multiple shards";
   EXPECT_TRUE(SawWorkers) << "corpus never spawns cross-thread workers";
-  EXPECT_TRUE(SawPageReturnFree)
-      << "corpus never selects DIEHARD_PAGE_RETURN=free";
+  EXPECT_TRUE(SawElastic) << "corpus never enables elastic spans";
+  EXPECT_TRUE(SawFixed) << "corpus never runs fixed spans";
   EXPECT_TRUE(SawPageReturnOff)
       << "corpus never selects DIEHARD_PAGE_RETURN=off";
 }

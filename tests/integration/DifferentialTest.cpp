@@ -13,7 +13,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "baselines/AdaptiveAllocator.h"
 #include "baselines/DieHardAllocator.h"
 #include "baselines/GcAllocator.h"
 #include "baselines/LeaAllocator.h"
@@ -234,9 +233,9 @@ INSTANTIATE_TEST_SUITE_P(
                          48 * 1024},
         DifferentialCase{"adaptive",
                          [] {
-                           AdaptiveOptions O;
-                           O.Seed = 0xD1FF;
-                           return std::make_unique<AdaptiveAllocator>(O);
+                           DieHardOptions O = diffHeapOptions();
+                           O.ElasticSpans = true;
+                           return std::make_unique<DieHardAllocator>(O);
                          },
                          8192},
         DifferentialCase{"lea",

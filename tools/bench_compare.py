@@ -48,7 +48,6 @@ REFERENCE_CONFIG = {
     "tcache": "cache_off",
     "peak_espresso": "lea",
     "churn_idle": "return-off",
-    "churn_pressure": "return-off",
 }
 
 

@@ -51,6 +51,7 @@ struct Totals {
   uint64_t ModelAllocs = 0;
   uint64_t FailedAllocs = 0;
   uint64_t Injected[NumErrorClasses] = {};
+  uint64_t ElasticInputs = 0; ///< Inputs decoded with elastic spans on.
   uint64_t Failures = 0;
 };
 
@@ -70,8 +71,8 @@ enum CoverageBit {
   // Config-derived only (never from runtime counters): how many pages a
   // run actually returns depends on sweep timing, and a corpus selected
   // on timing-dependent coverage would not replay to the same bits.
-  BitPageReturnFree = 15,
-  BitPageReturnOff = 16,
+  BitPageReturnOff = 15,
+  BitElastic = 16,
   NumCoverageBits = 17
 };
 
@@ -97,10 +98,10 @@ uint32_t coverageOf(const FuzzResult &R) {
     Bits |= 1u << BitSaturation;
   if (R.FinalStats.RemoteFrees > 0)
     Bits |= 1u << BitRemoteFrees;
-  if (R.Config.PageReturn == diehard::PageReturnPolicy::Free)
-    Bits |= 1u << BitPageReturnFree;
   if (R.Config.PageReturn == diehard::PageReturnPolicy::Off)
     Bits |= 1u << BitPageReturnOff;
+  if (R.Config.ElasticSpans)
+    Bits |= 1u << BitElastic;
   return Bits;
 }
 
@@ -111,6 +112,8 @@ void fold(Totals &T, const FuzzResult &R) {
   T.FailedAllocs += R.FailedAllocs;
   for (int C = 0; C < NumErrorClasses; ++C)
     T.Injected[C] += R.Injected[C];
+  if (R.Config.ElasticSpans)
+    ++T.ElasticInputs;
   if (!R.Ok)
     ++T.Failures;
 }
@@ -194,19 +197,17 @@ std::vector<uint8_t> generateInput(uint64_t GenSeed, uint64_t Index,
 void reportFailure(const FuzzResult &R, const std::string &Origin) {
   std::fprintf(stderr, "FAIL %s: %s\n", Origin.c_str(), R.Message.c_str());
   const char *Policy =
-      R.Config.PageReturn == diehard::PageReturnPolicy::Free
-          ? "free"
-          : (R.Config.PageReturn == diehard::PageReturnPolicy::Off
-                 ? "off"
-                 : "dontneed");
+      R.Config.PageReturn == diehard::PageReturnPolicy::Off ? "off"
+                                                            : "dontneed";
   std::fprintf(stderr,
                "  config: shards=%zu tcache=%zu sweeper=%d/%zums "
-               "pagereturn=%s overflow=%d fill=%d workers=%zu heap=%zuMB "
-               "seed=%llu\n",
+               "pagereturn=%s overflow=%d fill=%d elastic=%d workers=%zu "
+               "heap=%zuMB seed=%llu\n",
                R.Config.NumShards, R.Config.ThreadCacheSlots,
                R.Config.Sweeper ? 1 : 0,
                R.Config.SweepIntervalMs, Policy, R.Config.Overflow ? 1 : 0,
-               R.Config.RandomFill ? 1 : 0, R.Config.Workers,
+               R.Config.RandomFill ? 1 : 0, R.Config.ElasticSpans ? 1 : 0,
+               R.Config.Workers,
                R.Config.HeapSize >> 20,
                static_cast<unsigned long long>(R.Config.Seed));
 }
@@ -345,8 +346,10 @@ int main(int Argc, char **Argv) {
                 All, Covered == All ? "" : " (INCOMPLETE)");
   }
 
-  std::printf("inputs=%llu ops=%llu allocs=%llu refused=%llu failures=%llu\n",
+  std::printf("inputs=%llu elastic=%llu ops=%llu allocs=%llu refused=%llu "
+              "failures=%llu\n",
               static_cast<unsigned long long>(T.Inputs),
+              static_cast<unsigned long long>(T.ElasticInputs),
               static_cast<unsigned long long>(T.Ops),
               static_cast<unsigned long long>(T.ModelAllocs),
               static_cast<unsigned long long>(T.FailedAllocs),

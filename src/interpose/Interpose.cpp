@@ -12,9 +12,13 @@
 /// points LD_PRELOAD at this library for every replica.
 ///
 /// Configuration via the environment:
-///   DIEHARD_HEAP_SIZE   heap reservation in bytes (default 384 MB),
-///                       reserved per shard (lazily committed, so shards
-///                       cost address space rather than memory)
+///   DIEHARD_HEAP_SIZE   cap on heap growth in bytes (default 384 MB), per
+///                       shard. Partitions run elastic spans: each places
+///                       objects over an active span that starts small
+///                       and doubles at the 1/M bound, so the footprint
+///                       follows the live set; this size is reserved as
+///                       address space and only bounds how far the spans
+///                       can grow.
 ///   DIEHARD_M           expansion factor M (default 2)
 ///   DIEHARD_SEED        RNG seed; 0 or unset = truly random per process
 ///   DIEHARD_SHARDS      heap shard count; unset/0 = one per CPU, clamped to
@@ -242,6 +246,9 @@ ShardedHeap *constructHeap() {
   Options.Heap.HeapSize = envSize("DIEHARD_HEAP_SIZE", Options.Heap.HeapSize);
   Options.Heap.M = envDouble("DIEHARD_M", Options.Heap.M);
   Options.Heap.Seed = envSize("DIEHARD_SEED", 0);
+  // Elastic spans (Section 9) for replicas too: a span grows at the same
+  // allocation for a given seed, so placement stays deterministic.
+  Options.Heap.ElasticSpans = true;
   const char *Replicated = std::getenv("DIEHARD_REPLICATED");
   bool IsReplica = Replicated != nullptr && Replicated[0] == '1';
   if (IsReplica) {

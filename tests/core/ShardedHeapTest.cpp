@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -88,6 +89,82 @@ TEST(ShardedHeapTest, SingleShardMatchesDieHardHeapBitForBit) {
     ASSERT_EQ(offsetFromBase(A, Reference),
               offsetFromBase(B, Sharded.shard(0)));
   }
+}
+
+TEST(ShardedHeapTest, ElasticSingleShardMatchesDieHardHeapBitForBit) {
+  // The same equivalence with elastic spans on both sides, as replicas run
+  // them: span growths must happen at the same allocation on each side, so
+  // the RNG streams and placements stay in lockstep across every doubling.
+  DieHardOptions Plain;
+  Plain.HeapSize = 96 * 1024 * 1024;
+  Plain.Seed = 42;
+  Plain.ElasticSpans = true;
+  DieHardHeap Reference(Plain);
+
+  ShardedHeapOptions O = smallOptions(1);
+  O.Heap.ElasticSpans = true;
+  ShardedHeap Sharded(O);
+  ASSERT_TRUE(Reference.isValid());
+  ASSERT_TRUE(Sharded.isValid());
+  ASSERT_EQ(Sharded.numShards(), 1u);
+
+  // 120 rounds leave at least 120 live objects per class: two doublings
+  // of the 64-slot initial span (32 live at M = 2), to 256 slots.
+  const size_t Sizes[] = {8, 24, 100, 512, 16, 2048, 8000, 16384, 1, 333};
+  auto allocateRounds = [&](int Rounds, std::vector<void *> *KeepReference,
+                            std::vector<void *> *KeepSharded) {
+    for (int Round = 0; Round < Rounds; ++Round)
+      for (size_t Size : Sizes) {
+        void *A = Reference.allocate(Size);
+        void *B = Sharded.allocate(Size);
+        ASSERT_NE(A, nullptr);
+        ASSERT_NE(B, nullptr);
+        ASSERT_EQ(offsetFromBase(A, Reference),
+                  offsetFromBase(B, Sharded.shard(0)))
+            << "placement diverged for size " << Size << " in round "
+            << Round;
+        if (KeepReference != nullptr) {
+          KeepReference->push_back(A);
+          KeepSharded->push_back(B);
+        }
+      }
+  };
+  std::vector<void *> FromReference, FromSharded;
+  allocateRounds(120, &FromReference, &FromSharded);
+  std::vector<size_t> SpanAfterFirst;
+  for (size_t Size : Sizes) {
+    int C = SizeClass::sizeToClass(Size);
+    SpanAfterFirst.push_back(Reference.partition(C).activeSlots());
+    EXPECT_GE(SpanAfterFirst.back(),
+              4 * RandomizedPartition::InitialSpanSlots)
+        << "size " << Size << " must have crossed two span growths";
+    EXPECT_EQ(Sharded.shard(0).partition(C).activeSlots(),
+              SpanAfterFirst.back());
+  }
+
+  // Free every other object and allocate again: the streams must stay in
+  // lockstep through frees too. With ten sizes per round, "every other"
+  // empties the classes of sizes 8, 100, 16, 8000 and 1, which refill
+  // inside their grown spans, while the classes of the other five keep
+  // their objects and must grow again.
+  const uint64_t GrowthsAfterFirst = Reference.stats().SpanGrowths;
+  for (size_t I = 0; I < FromReference.size(); I += 2) {
+    Reference.deallocate(FromReference[I]);
+    Sharded.deallocate(FromSharded[I]);
+  }
+  allocateRounds(120, nullptr, nullptr);
+  for (size_t I = 1; I < std::size(Sizes); I += 2) {
+    int C = SizeClass::sizeToClass(Sizes[I]);
+    EXPECT_GT(Reference.partition(C).activeSlots(), SpanAfterFirst[I])
+        << "size " << Sizes[I] << " must grow again during the refill";
+  }
+  for (size_t Size : Sizes) {
+    int C = SizeClass::sizeToClass(Size);
+    EXPECT_EQ(Sharded.shard(0).partition(C).activeSlots(),
+              Reference.partition(C).activeSlots());
+  }
+  EXPECT_GT(Reference.stats().SpanGrowths, GrowthsAfterFirst);
+  EXPECT_EQ(Sharded.stats().SpanGrowths, Reference.stats().SpanGrowths);
 }
 
 TEST(ShardedHeapTest, ResolvesShardCountAndDerivesSeeds) {

@@ -11,7 +11,8 @@
 /// (and so double-free detection) intact, the fill-ratio gate that keeps
 /// the scanner off hot partitions, double frees exposed at the sweeper's
 /// own drains, the stale-pressure-table fallback of overflow routing, and
-/// sweeper-vs-allocator stress runs for the sanitizer lanes.
+/// sweeper-vs-allocator stress runs for the sanitizer lanes, one of them
+/// with elastic spans growing under the sweeper.
 ///
 /// Deterministic cases construct the heap with the sweeper on but an
 /// hour-long interval and drive passes synchronously with sweepNow(); the
@@ -24,6 +25,7 @@
 #include "core/ShardedHeap.h"
 
 #include "core/SizeClass.h"
+#include "support/MmapRegion.h"
 
 #include <gtest/gtest.h>
 
@@ -33,6 +35,8 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include <sys/mman.h>
 
 namespace diehard {
 namespace {
@@ -613,6 +617,128 @@ TEST(SweeperTest, PartialReturnVersusChurnStressStaysConsistent) {
   DieHardStats S = H.stats();
   EXPECT_EQ(S.Allocations, S.Frees)
       << "books must balance with pages released and refaulted all run";
+  EXPECT_EQ(S.IgnoredFrees, 0u);
+}
+
+/// True if every page overlapping [\p P, \p P + \p Size) is resident. A page
+/// the sweeper advised away reads as not resident until it is touched.
+bool allPagesResident(const void *P, size_t Size) {
+  const size_t Page = MmapRegion::pageSize();
+  uintptr_t Begin = reinterpret_cast<uintptr_t>(P) & ~(Page - 1);
+  uintptr_t End = reinterpret_cast<uintptr_t>(P) + Size;
+  std::vector<unsigned char> Resident((End - Begin + Page - 1) / Page);
+  if (::mincore(reinterpret_cast<void *>(Begin), End - Begin,
+                Resident.data()) != 0)
+    return false;
+  for (unsigned char R : Resident)
+    if ((R & 1) == 0)
+      return false;
+  return true;
+}
+
+TEST(SweeperTest, SweeperVersusElasticGrowthStaysConsistent) {
+  // The shim's configuration under load: elastic spans doubling in several
+  // classes while a 1 ms sweeper drains, ages caches and returns free
+  // pages of the (growing) active spans. Each object carries its own fill
+  // byte, so a page released under a live object reads as zeros and an
+  // object handed out twice is overwritten by its second owner. Scaled by
+  // DIEHARD_STRESS_ITERS for the nightly lane.
+  const int Mult = stressMultiplier();
+  ShardedHeapOptions O = sweeperOptions(2, /*CacheSlots=*/8,
+                                        /*IntervalMs=*/1, /*Seed=*/123);
+  O.Heap.HeapSize = SizeClass::NumClasses * SizeClass::MaxObjectSize * 64;
+  O.Heap.ElasticSpans = true;
+  ShardedHeap H(O);
+  ASSERT_TRUE(H.isValid());
+  ASSERT_TRUE(H.sweeperEnabled());
+
+  struct Object {
+    unsigned char *Ptr;
+    size_t Size;
+    unsigned char Fill;
+  };
+  auto intact = [](const Object &Obj) {
+    for (size_t I = 0; I < Obj.Size; ++I)
+      if (Obj.Ptr[I] != Obj.Fill)
+        return false;
+    return true;
+  };
+  std::atomic<int> Failures{0};
+  std::vector<std::vector<Object>> Survivors(3);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < 3; ++T)
+    Threads.emplace_back([&, T] {
+      unsigned State = (T + 21) * 2654435761u;
+      auto Next = [&State] {
+        State = State * 1664525u + 1013904223u;
+        return State >> 8;
+      };
+      std::vector<Object> &Live = Survivors[T];
+      const int Steps = 20000 * Mult;
+      for (int Step = 0; Step < Steps; ++Step) {
+        if (Next() % 100 < 60 || Live.empty()) {
+          // Sizes over the 16 B to 4 KB classes; up to 400 live objects
+          // per thread push each class well past its 64-slot start.
+          size_t Size = 1 + Next() % (size_t(16) << (Next() % 9));
+          auto *P = static_cast<unsigned char *>(H.allocate(Size));
+          if (P == nullptr) {
+            ++Failures;
+            return;
+          }
+          auto Fill = static_cast<unsigned char>(1 + Next() % 255);
+          std::memset(P, Fill, Size);
+          Live.push_back({P, Size, Fill});
+          if (Live.size() <= 400)
+            continue;
+        }
+        size_t Victim = Next() % Live.size();
+        if (!intact(Live[Victim]))
+          ++Failures;
+        H.deallocate(Live[Victim].Ptr);
+        Live[Victim] = Live.back();
+        Live.pop_back();
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Failures.load(), 0);
+
+  // Quiescent, with the survivors still live and the sweeper still
+  // passing: the spans grew in several classes, no released page overlaps
+  // a live slot, and every fill byte is intact. Residency is checked
+  // before the fill, since reading a released page would fault it back.
+  H.sweepNow();
+  int GrownClasses = 0;
+  for (int C = 0; C < SizeClass::NumClasses; ++C)
+    for (size_t S = 0; S < H.numShards(); ++S)
+      if (H.shard(S).partition(C).activeSlots() >
+          RandomizedPartition::InitialSpanSlots) {
+        ++GrownClasses;
+        break;
+      }
+  EXPECT_GE(GrownClasses, 4) << "spans must have grown in several classes";
+  size_t Held = 0;
+  for (const std::vector<Object> &Live : Survivors)
+    for (const Object &Obj : Live) {
+      EXPECT_TRUE(allPagesResident(Obj.Ptr, Obj.Size))
+          << "a page under a live " << Obj.Size << "-byte object was released";
+      EXPECT_TRUE(intact(Obj)) << "live " << Obj.Size << "-byte object";
+      ++Held;
+    }
+  EXPECT_GT(Held, 0u);
+
+  for (const std::vector<Object> &Live : Survivors)
+    for (const Object &Obj : Live)
+      H.deallocate(Obj.Ptr);
+  H.flushThreadCache();
+  H.drainRemoteFrees();
+  EXPECT_GT(H.sweepPasses(), 0u) << "the background thread must have run";
+  EXPECT_EQ(H.cachedSlots(), 0u);
+  EXPECT_EQ(H.pendingRemoteFrees(), 0u);
+  EXPECT_EQ(H.bytesLive(), 0u);
+  DieHardStats S = H.stats();
+  EXPECT_EQ(S.Allocations, S.Frees)
+      << "books must balance with spans grown under the sweeper";
   EXPECT_EQ(S.IgnoredFrees, 0u);
 }
 

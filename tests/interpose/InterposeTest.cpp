@@ -239,6 +239,19 @@ TEST(InterposeTest, ReplicationForcesTheSweeperOff) {
   EXPECT_EQ(R.Output, "MT-OK\n");
 }
 
+/// Reads the DIEHARD_STATS dump at \p Path and deletes the file. \returns
+/// an empty string if no dump was written.
+std::string takeStatsDump(const std::string &Path) {
+  std::FILE *F = std::fopen(Path.c_str(), "r");
+  if (F == nullptr)
+    return "";
+  char Buf[4096];
+  size_t N = std::fread(Buf, 1, sizeof(Buf) - 1, F);
+  std::fclose(F);
+  std::remove(Path.c_str());
+  return std::string(Buf, N);
+}
+
 TEST(InterposeTest, StatsDumpEmitsJsonAtExit) {
   // (Sweeper counter fields are asserted below even with the sweeper off:
   // they must always be present, reading 0.)
@@ -253,13 +266,8 @@ TEST(InterposeTest, StatsDumpEmitsJsonAtExit) {
                                  " DIEHARD_TCACHE=8");
   EXPECT_EQ(R.ExitCode, 0);
   EXPECT_EQ(R.Output, "ok\n");
-  std::FILE *F = std::fopen(StatsFile.c_str(), "r");
-  ASSERT_NE(F, nullptr) << "no stats dump written to " << StatsFile;
-  char Buf[4096];
-  size_t N = std::fread(Buf, 1, sizeof(Buf) - 1, F);
-  std::fclose(F);
-  std::remove(StatsFile.c_str());
-  std::string Dump(Buf, N);
+  std::string Dump = takeStatsDump(StatsFile);
+  ASSERT_FALSE(Dump.empty()) << "no stats dump written to " << StatsFile;
   EXPECT_NE(Dump.find("\"diehard_stats\""), std::string::npos) << Dump;
   EXPECT_NE(Dump.find("\"allocations\""), std::string::npos);
   EXPECT_NE(Dump.find("\"cache_refills\""), std::string::npos);
@@ -269,6 +277,33 @@ TEST(InterposeTest, StatsDumpEmitsJsonAtExit) {
   EXPECT_NE(Dump.find("\"sweeper_drained\""), std::string::npos);
   EXPECT_NE(Dump.find("\"aged_caches\""), std::string::npos);
   EXPECT_NE(Dump.find("\"pages_returned\""), std::string::npos);
+}
+
+/// Runs the cross-thread stress victim under the shim with a DIEHARD_STATS
+/// file dump and \returns the dump's span_growths value, or -1 if the run
+/// failed or the key is missing.
+long long spanGrowthsUnderStress(const std::string &ExtraEnv) {
+  std::string StatsFile = ::testing::TempDir() + "diehard-elastic-stats.json";
+  std::remove(StatsFile.c_str());
+  RunResult R = runPreloaded(DIEHARD_MT_SHARD_VICTIM_PATH,
+                             ExtraEnv + " DIEHARD_STATS=" + StatsFile);
+  EXPECT_EQ(R.ExitCode, 0);
+  EXPECT_EQ(R.Output, "MT-SHARD-OK\n");
+  std::string Dump = takeStatsDump(StatsFile);
+  const std::string Key = "\"span_growths\":";
+  size_t At = Dump.find(Key);
+  if (At == std::string::npos)
+    return -1;
+  return std::strtoll(Dump.c_str() + At + Key.size(), nullptr, 10);
+}
+
+TEST(InterposeTest, ShimRunsElasticSpans) {
+  // The shim's partitions start at a small active span and double it at
+  // the 1/M bound, so a stress run's dump must record span growths. A
+  // fixed-span heap would read 0 here.
+  EXPECT_GT(spanGrowthsUnderStress(""), 0);
+  // Replicas share the configuration: one shard, no cache, still elastic.
+  EXPECT_GT(spanGrowthsUnderStress("DIEHARD_REPLICATED=1"), 0);
 }
 
 TEST(InterposeTest, CppBinaryWithNewDelete) {

@@ -25,6 +25,7 @@ DieHardHeap::DieHardHeap(const DieHardOptions &Options) : Opts(Options) {
   assert(Opts.M > 1.0 && "expansion factor M must exceed 1");
   ResolvedSeed = Opts.Seed != 0 ? Opts.Seed : realRandomSeed();
   Rand.setSeed(ResolvedSeed);
+  LargeObjects.setSeed(ResolvedSeed);
 
   // Divide the reservation evenly into one partition per size class, keeping
   // each partition a multiple of the largest object size so every slot of
@@ -251,6 +252,8 @@ DieHardStats DieHardHeap::stats() const {
     addPartitionStats(S, P);
   S.LargeAllocations = LargeAllocationCount;
   S.LargeFrees = LargeFreeCount;
+  S.LargeReuses = LargeObjects.reuses();
+  S.LargeParked = LargeObjects.parkedCount();
   S.FailedAllocations += LargeFailedCount;
   S.IgnoredFrees += ForeignIgnoredFrees;
   S.ReallocRejects = ReallocRejectCount;

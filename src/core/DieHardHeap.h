@@ -101,6 +101,9 @@ struct DieHardStats {
   uint64_t Frees = 0;
   uint64_t LargeAllocations = 0;  ///< Successful large allocations.
   uint64_t LargeFrees = 0;        ///< Successful large frees.
+  uint64_t LargeReuses = 0;       ///< Large allocations served by a parked
+                                  ///< mapping (see LargeObjectManager).
+  uint64_t LargeParked = 0;       ///< Gauge: large mappings parked now.
   uint64_t FailedAllocations = 0; ///< Requests refused (partition full).
   uint64_t IgnoredFrees = 0;      ///< Invalid/double frees ignored.
   uint64_t ReallocRejects = 0;    ///< realloc() of a pointer that is not a

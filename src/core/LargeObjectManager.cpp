@@ -5,13 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Implementation of the mmap-with-guard-pages large-object manager and its
-/// allocator-re-entrancy-free open-addressing validity table.
+/// Implementation of the guarded-mapping large-object manager: its
+/// allocator-re-entrancy-free open-addressing validity table and its
+/// randomized cache of parked mappings.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/LargeObjectManager.h"
 
+#include <cstdint>
+#include <cstring>
 #include <utility>
 
 #include <sys/mman.h>
@@ -30,14 +33,24 @@ size_t hashPointer(const void *Ptr) {
   return static_cast<size_t>(Z ^ (Z >> 31));
 }
 
+/// Salt for the cache's pick stream, so it is unrelated to every stream
+/// the heap draws from the same seed.
+constexpr uint64_t PickSeedSalt = 0x5A3C9E1F7B2D4863ULL;
+
 } // namespace
 
 LargeObjectManager::~LargeObjectManager() {
   for (size_t I = 0; I < Capacity; ++I) {
     Slot &S = slots()[I];
     if (S.User != nullptr && S.User != tombstone())
-      ::munmap(S.MapBase, S.MapSize);
+      ::munmap(S.Map.Base, S.Map.Size);
   }
+  for (size_t I = 0; I < ParkedCount; ++I)
+    ::munmap(parked()[I].Base, parked()[I].Size);
+}
+
+void LargeObjectManager::setSeed(uint64_t HeapSeed) {
+  PickRand.setSeed(HeapSeed ^ PickSeedSalt);
 }
 
 bool LargeObjectManager::grow() {
@@ -78,7 +91,9 @@ LargeObjectManager::findSlot(const void *Ptr) const {
 }
 
 void *LargeObjectManager::allocate(size_t Size) {
-  if (Size == 0)
+  // Past PTRDIFF_MAX the page rounding below would wrap and map a mapping
+  // far smaller than Size.
+  if (Size == 0 || Size > PTRDIFF_MAX)
     return nullptr;
   // Keep the table at most 3/4 occupied (tombstones included) so probe
   // chains stay short and the insert below cannot fail.
@@ -89,15 +104,22 @@ void *LargeObjectManager::allocate(size_t Size) {
   size_t Body = (Size + Page - 1) / Page * Page;
   // One guard page before and one after the object body.
   size_t Total = Body + 2 * Page;
-  void *Base = ::mmap(nullptr, Total, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  if (Base == MAP_FAILED)
-    return nullptr;
-  char *User = static_cast<char *>(Base) + Page;
-  // Revoke all access on the guard pages so that any overflow off either end
-  // of the object faults immediately instead of silently corrupting memory.
-  ::mprotect(Base, Page, PROT_NONE);
-  ::mprotect(User + Body, Page, PROT_NONE);
+  Mapping M;
+  if (takeParked(Total, M)) {
+    ++Reuses; // Guards are still PROT_NONE; the body was advised away.
+  } else {
+    M.Size = Total;
+    M.Base = ::mmap(nullptr, Total, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (M.Base == MAP_FAILED)
+      return nullptr;
+    // Revoke all access on the guard pages so that any overflow off either
+    // end of the object faults immediately instead of silently corrupting
+    // memory.
+    ::mprotect(M.Base, Page, PROT_NONE);
+    ::mprotect(static_cast<char *>(M.Base) + Page + Body, Page, PROT_NONE);
+  }
+  char *User = static_cast<char *>(M.Base) + Page;
 
   size_t Index = hashPointer(User) & (Capacity - 1);
   while (slots()[Index].User != nullptr &&
@@ -105,19 +127,96 @@ void *LargeObjectManager::allocate(size_t Size) {
     Index = (Index + 1) & (Capacity - 1);
   if (slots()[Index].User == nullptr)
     ++Used; // Reusing a tombstone keeps Used unchanged.
-  slots()[Index] = Slot{User, Base, Total, Size};
+  slots()[Index] = Slot{User, M, Size};
   ++Live;
   return User;
 }
 
 bool LargeObjectManager::deallocate(void *Ptr) {
+  Mapping M;
+  if (detach(Ptr, M) == 0)
+    return false; // Unknown or already-freed address: ignore, per the paper.
+  if (releaseBody(M))
+    park(M);
+  return true;
+}
+
+size_t LargeObjectManager::detach(void *Ptr, Mapping &Out) {
   Slot *S = findSlot(Ptr);
   if (S == nullptr)
-    return false; // Unknown or already-freed address: ignore, per the paper.
-  ::munmap(S->MapBase, S->MapSize);
+    return 0;
+  Out = S->Map;
   S->User = tombstone();
   --Live;
+  return S->UserSize;
+}
+
+bool LargeObjectManager::releaseBody(const Mapping &M) {
+  size_t Page = MmapRegion::pageSize();
+  if (::madvise(static_cast<char *>(M.Base) + Page, M.Size - 2 * Page,
+                MADV_DONTNEED) == 0)
+    return true;
+  // The body still holds its previous owner's bytes; do not recycle it.
+  ::munmap(M.Base, M.Size);
+  return false;
+}
+
+void LargeObjectManager::park(const Mapping &M) {
+  if (M.Size > MaxParkedBytes ||
+      (Cache.base() == nullptr &&
+       !Cache.map(MaxParkedMappings * sizeof(Mapping)))) {
+    ::munmap(M.Base, M.Size);
+    return;
+  }
+  // Evict uniformly at random rather than refusing M: unmapping the
+  // mapping just freed would let the kernel hand its address to the next
+  // mmap of that size, the deterministic reuse the cache exists to avoid.
+  while (ParkedCount == MaxParkedMappings ||
+         ParkedBytes + M.Size > MaxParkedBytes) {
+    size_t Victim =
+        PickRand.nextBounded(static_cast<uint32_t>(ParkedCount));
+    ::munmap(parked()[Victim].Base, parked()[Victim].Size);
+    removeParked(Victim);
+  }
+  // Append to the end of M's bucket so the array stays sorted.
+  size_t At = bucketBound(M.Size, /*Upper=*/true);
+  std::memmove(&parked()[At + 1], &parked()[At],
+               (ParkedCount - At) * sizeof(Mapping));
+  parked()[At] = M;
+  ++ParkedCount;
+  ParkedBytes += M.Size;
+}
+
+size_t LargeObjectManager::bucketBound(size_t Size, bool Upper) const {
+  size_t Lo = 0, Hi = ParkedCount;
+  while (Lo < Hi) {
+    size_t Mid = Lo + (Hi - Lo) / 2;
+    size_t S = parked()[Mid].Size;
+    if (S < Size || (Upper && S == Size))
+      Lo = Mid + 1;
+    else
+      Hi = Mid;
+  }
+  return Lo;
+}
+
+bool LargeObjectManager::takeParked(size_t Size, Mapping &Out) {
+  size_t Begin = bucketBound(Size, /*Upper=*/false);
+  size_t End = bucketBound(Size, /*Upper=*/true);
+  if (End - Begin < CandidateFloor)
+    return false;
+  size_t Index =
+      Begin + PickRand.nextBounded(static_cast<uint32_t>(End - Begin));
+  Out = parked()[Index];
+  removeParked(Index);
   return true;
+}
+
+void LargeObjectManager::removeParked(size_t Index) {
+  ParkedBytes -= parked()[Index].Size;
+  ParkedCount -= 1;
+  std::memmove(&parked()[Index], &parked()[Index + 1],
+               (ParkedCount - Index) * sizeof(Mapping));
 }
 
 size_t LargeObjectManager::getSize(const void *Ptr) const {

@@ -108,6 +108,9 @@ ShardedHeap::ShardedHeap(const ShardedHeapOptions &Options) : Opts(Options) {
 
   LargeRand.setSeed(Opts.Heap.Seed != 0 ? Opts.Heap.Seed ^ LargeSeedSalt
                                         : realRandomSeed());
+  // Picks follow the resolved seed, so a one-shard heap recycles large
+  // mappings exactly as a lone DieHardHeap with the same seed does.
+  LargeObjects.setSeed(seed());
 
   Id = NextHeapId.fetch_add(1, std::memory_order_relaxed);
   if (Opts.ThreadCacheSlots != 0) {
@@ -540,16 +543,25 @@ void ShardedHeap::deallocateOwned(void *Ptr, uint32_t Owner) {
 }
 
 void ShardedHeap::deallocateLarge(void *Ptr) {
-  std::lock_guard<std::mutex> Guard(LargeLock);
-  size_t Size = LargeObjects.getSize(Ptr);
-  if (Size != 0 && LargeObjects.deallocate(Ptr)) {
+  LargeObjectManager::Mapping M;
+  {
+    std::lock_guard<std::mutex> Guard(LargeLock);
+    size_t Size = LargeObjects.detach(Ptr, M);
+    if (Size == 0) {
+      // Interior pointer into a live large object, or a double free.
+      ++LargeIgnoredFrees;
+      return;
+    }
     Registry.erase(Ptr);
     ++LargeFreeCount;
     LargeLiveBytes -= Size;
-    return;
   }
-  // Interior pointer into a live large object, or a double free.
-  ++LargeIgnoredFrees;
+  // The detached mapping is neither live nor parked, so no other thread
+  // can reach it: advise its body away with no lock held, then park it.
+  if (LargeObjectManager::releaseBody(M)) {
+    std::lock_guard<std::mutex> Guard(LargeLock);
+    LargeObjects.park(M);
+  }
 }
 
 void *ShardedHeap::reallocate(void *Ptr, size_t NewSize) {
@@ -619,6 +631,8 @@ DieHardStats ShardedHeap::sharedCounterSnapshot() const {
   Total.CacheFlushes = CacheFlushCount.load(std::memory_order_relaxed);
   Total.LargeAllocations = LargeAllocCount;
   Total.LargeFrees = LargeFreeCount;
+  Total.LargeReuses = LargeObjects.reuses();
+  Total.LargeParked = LargeObjects.parkedCount();
   Total.FailedAllocations = LargeFailedCount;
   Total.IgnoredFrees = LargeIgnoredFrees;
   Total.IgnoredFrees += ForeignFrees.load(std::memory_order_relaxed);

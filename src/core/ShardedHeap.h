@@ -31,7 +31,11 @@
 /// AddressRangeMap under a shared lock. Objects above
 /// SizeClass::MaxObjectSize bypass the shards entirely and go to one shared
 /// LargeObjectManager behind its own lock, so large-object traffic never
-/// serializes small-object traffic.
+/// serializes small-object traffic. That manager recycles freed mappings
+/// through a randomized cache (see LargeObjectManager.h): a large free
+/// detaches the mapping under LargeLock, advises its body away with
+/// MADV_DONTNEED with no lock held, and re-takes LargeLock to park it, so
+/// the costly system call never serializes other large-object traffic.
 ///
 /// Overflow routing (DIEHARD_OVERFLOW): when the calling thread's home
 /// partition is at its 1/M bound, the allocation is routed to the same
@@ -124,12 +128,14 @@
 /// sidecar drains happen only under the drained partition's lock. The
 /// sweeper never holds any lock across a blocking call: its
 /// pthread_cond_timedwait releases the pass gate, and every lock it takes
-/// during a pass is released before the next wait. Nothing
-/// that runs under LargeLock allocates through the global allocator — the
-/// large-object validity table is mmap-backed precisely so that, under the
-/// malloc shim, the locked large path can never re-enter itself. (The
-/// registry's map nodes are small and are therefore served by a shard, a
-/// lock this path is allowed to take.)
+/// during a pass is released before the next wait. A large free's
+/// madvise runs with no lock held at all: between its two LargeLock
+/// sections the mapping is detached, reachable by no other thread.
+/// Nothing that runs under LargeLock allocates through the global
+/// allocator — the large-object validity table and mapping cache are
+/// mmap-backed precisely so that, under the malloc shim, the locked large
+/// path can never re-enter itself. (The registry's map nodes are small and
+/// are therefore served by a shard, a lock this path is allowed to take.)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -546,7 +552,7 @@ private:
   std::vector<ShardRange> ShardRanges;
 
   /// Live large objects only. Mutated exclusively under LargeLock, so a
-  /// concurrent unmap-then-remap of the same address cannot drop a fresh
+  /// concurrent free-then-reuse of the same mapping cannot drop a fresh
   /// entry.
   AddressRangeMap Registry;
 

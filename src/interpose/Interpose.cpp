@@ -211,7 +211,8 @@ void dumpStatsAtExit() {
       "\"aged_caches\":%llu,\"pages_returned\":%llu,"
       "\"partial_returns\":%llu,\"spans_released\":%llu,"
       "\"probes\":%llu,\"probe_fallbacks\":%llu,\"span_growths\":%llu,"
-      "\"realloc_rejects\":%llu}}\n",
+      "\"realloc_rejects\":%llu,\"large_reuses\":%llu,"
+      "\"large_parked\":%llu}}\n",
       static_cast<unsigned long long>(S.Allocations),
       static_cast<unsigned long long>(S.Frees),
       static_cast<unsigned long long>(S.FailedAllocations),
@@ -233,7 +234,9 @@ void dumpStatsAtExit() {
       static_cast<unsigned long long>(S.Probes),
       static_cast<unsigned long long>(S.ProbeFallbacks),
       static_cast<unsigned long long>(S.SpanGrowths),
-      static_cast<unsigned long long>(S.ReallocRejects));
+      static_cast<unsigned long long>(S.ReallocRejects),
+      static_cast<unsigned long long>(S.LargeReuses),
+      static_cast<unsigned long long>(S.LargeParked));
   if (N > 0)
     (void)!::write(StatsFd, Line, static_cast<size_t>(N));
 }

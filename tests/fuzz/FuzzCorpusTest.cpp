@@ -78,6 +78,7 @@ TEST(FuzzCorpusTest, EveryCommittedInputReplaysClean) {
   bool SawCached = false, SawUncached = false, SawMultiShard = false;
   bool SawWorkers = false;
   bool SawPageReturnOff = false, SawElastic = false, SawFixed = false;
+  bool SawLargeReuse = false;
 
   for (const std::string &Path : Files) {
     std::vector<uint8_t> Bytes = readFile(Path);
@@ -93,6 +94,7 @@ TEST(FuzzCorpusTest, EveryCommittedInputReplaysClean) {
     (R.Config.ElasticSpans ? SawElastic : SawFixed) = true;
     SawPageReturnOff =
         SawPageReturnOff || R.Config.PageReturn == PageReturnPolicy::Off;
+    SawLargeReuse = SawLargeReuse || R.FinalStats.LargeReuses > 0;
   }
 
   EXPECT_GT(TotalOps, 0u);
@@ -108,6 +110,8 @@ TEST(FuzzCorpusTest, EveryCommittedInputReplaysClean) {
   EXPECT_TRUE(SawFixed) << "corpus never runs fixed spans";
   EXPECT_TRUE(SawPageReturnOff)
       << "corpus never selects DIEHARD_PAGE_RETURN=off";
+  EXPECT_TRUE(SawLargeReuse)
+      << "corpus never recycles a parked large-object mapping";
 }
 
 TEST(FuzzCorpusTest, DeterministicInputsReplayBitIdentically) {

@@ -280,30 +280,50 @@ TEST(InterposeTest, StatsDumpEmitsJsonAtExit) {
 }
 
 /// Runs the cross-thread stress victim under the shim with a DIEHARD_STATS
-/// file dump and \returns the dump's span_growths value, or -1 if the run
-/// failed or the key is missing.
-long long spanGrowthsUnderStress(const std::string &ExtraEnv) {
-  std::string StatsFile = ::testing::TempDir() + "diehard-elastic-stats.json";
+/// file dump and \returns the dump. The file is named after the running
+/// test, so tests that ctest runs in parallel do not share it.
+std::string statsUnderStress(const std::string &ExtraEnv = "") {
+  std::string StatsFile =
+      ::testing::TempDir() + "diehard-stress-stats-" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".json";
   std::remove(StatsFile.c_str());
   RunResult R = runPreloaded(DIEHARD_MT_SHARD_VICTIM_PATH,
                              ExtraEnv + " DIEHARD_STATS=" + StatsFile);
   EXPECT_EQ(R.ExitCode, 0);
   EXPECT_EQ(R.Output, "MT-SHARD-OK\n");
-  std::string Dump = takeStatsDump(StatsFile);
-  const std::string Key = "\"span_growths\":";
-  size_t At = Dump.find(Key);
+  return takeStatsDump(StatsFile);
+}
+
+/// \returns the value of \p Key in the stats dump \p Dump, or -1 if the
+/// key is missing.
+long long statValue(const std::string &Dump, const std::string &Key) {
+  const std::string Quoted = "\"" + Key + "\":";
+  size_t At = Dump.find(Quoted);
   if (At == std::string::npos)
     return -1;
-  return std::strtoll(Dump.c_str() + At + Key.size(), nullptr, 10);
+  return std::strtoll(Dump.c_str() + At + Quoted.size(), nullptr, 10);
 }
 
 TEST(InterposeTest, ShimRunsElasticSpans) {
   // The shim's partitions start at a small active span and double it at
   // the 1/M bound, so a stress run's dump must record span growths. A
   // fixed-span heap would read 0 here.
-  EXPECT_GT(spanGrowthsUnderStress(""), 0);
+  EXPECT_GT(statValue(statsUnderStress(), "span_growths"), 0);
   // Replicas share the configuration: one shard, no cache, still elastic.
-  EXPECT_GT(spanGrowthsUnderStress("DIEHARD_REPLICATED=1"), 0);
+  EXPECT_GT(statValue(statsUnderStress("DIEHARD_REPLICATED=1"),
+                      "span_growths"),
+            0);
+}
+
+TEST(InterposeTest, ShimRecyclesLargeMappings) {
+  // The stress victim churns about a thousand large objects of a dozen
+  // page counts across threads; freed mappings are parked and handed out
+  // again, so the dump must record reuses and a nonzero parked gauge.
+  // Unmapping on every free would read 0 here.
+  std::string Dump = statsUnderStress();
+  EXPECT_GT(statValue(Dump, "large_reuses"), 0) << Dump;
+  EXPECT_GT(statValue(Dump, "large_parked"), 0) << Dump;
 }
 
 TEST(InterposeTest, CppBinaryWithNewDelete) {

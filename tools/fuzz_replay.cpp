@@ -73,7 +73,8 @@ enum CoverageBit {
   // on timing-dependent coverage would not replay to the same bits.
   BitPageReturnOff = 15,
   BitElastic = 16,
-  NumCoverageBits = 17
+  BitLargeReuse = 17,
+  NumCoverageBits = 18
 };
 
 uint32_t coverageOf(const FuzzResult &R) {
@@ -102,6 +103,8 @@ uint32_t coverageOf(const FuzzResult &R) {
     Bits |= 1u << BitPageReturnOff;
   if (R.Config.ElasticSpans)
     Bits |= 1u << BitElastic;
+  if (R.FinalStats.LargeReuses > 0)
+    Bits |= 1u << BitLargeReuse;
   return Bits;
 }
 
